@@ -6,7 +6,8 @@ The classes come in three layers:
 * base classes closed under simple operations: product-type (``in_P``),
   affine (``in_A``) and its twisted copy (``in_Adagger``), matchgate
   (``in_matchgate``) and its two basis changes (``in_Mhat``,
-  ``in_MhatDagger``);
+  ``in_MhatDagger``); ``product_form`` and ``affine_form`` return the form
+  behind ``in_P`` and ``in_A``, which is what the solvers fold;
 * vanishing-side classes read off in the Z basis: ``in_vanishing_*``,
   ``in_M4``, ``in_P2``, ``in_ZP``;
 * one-signature transformable families P1 / A1 / A3 / M1 / M2 / M3,
@@ -19,8 +20,9 @@ On top of these sit the framework deciders: ``dichotomy_binary_eq``,
 ``SetVerdict`` whose tractable outcomes carry a checkable witness.
 """
 
+from collections import namedtuple
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from .algebra import AN, I, ONE, SQRT2, ZERO, ZETA, sqrt_in_field
 from .sigcalc import (
@@ -30,6 +32,7 @@ from .sigcalc import (
     H2,
     Z,
     Z_INV,
+    _degenerate_form,
     all_but_one,
     diag,
     equality,
@@ -55,11 +58,19 @@ def _pair(u, v):
     return AN(u[0]) * AN(v[0]) + AN(u[1]) * AN(v[1])
 
 
-def _endpoint_form(f):
-    """Return (f0, fn) when every interior entry vanishes, else None."""
-    if any(not e.is_zero() for e in f.entries[1:-1]):
+def _geneq_weights(f):
+    """(a, b) when f is a generalized equality [a, 0, ..., 0, b] of arity at
+    least 2 with a and b nonzero, else None."""
+    if f.arity < 2 or f[0].is_zero() or f[-1].is_zero() \
+            or any(not e.is_zero() for e in f.entries[1:-1]):
         return None
     return f[0], f[-1]
+
+
+def _is_diseq(f):
+    """f = [0, c, 0] with c nonzero: a weighted binary disequality."""
+    return (f.arity == 2 and f[0].is_zero() and f[2].is_zero()
+            and not f[1].is_zero())
 
 
 def zhat(f):
@@ -68,38 +79,62 @@ def zhat(f):
 
 
 def is_degenerate(f):
-    if f.is_zero():
-        return True
-    d = tensor_decompose(f)
-    return d.kind in ("zero", "degenerate")
-
-
-def _degenerate_direction(f):
-    """The direction u of a nonzero degenerate f = c u^{tensor n}, else None."""
-    d = tensor_decompose(f)
-    if d.kind != "degenerate":
-        return None
-    return d.u
+    return f.is_zero() or _degenerate_form(f) is not None
 
 
 # -- base class memberships --------------------------------------------------
+#
+# The product-type and affine recognisers return the representation they
+# found; the solvers fold these forms over each vertex's edge variables, so
+# the class test and the solver share one shape match.
+#
+# A ProductForm of f on edge variables x_1..x_n: with ``link`` None f is
+# degenerate, f(x) = scalar * prod_j w_{x_j}; with ``link`` 0 a generalized
+# equality, f(x) = scalar * w_{x_1} when all x_j are equal, else 0; with
+# ``link`` 1 a binary disequality, f(x) = scalar when x_1 != x_2, else 0.
+ProductForm = namedtuple("ProductForm", "scalar link w0 w1",
+                         defaults=(ONE, ONE))
+
+
+def product_form(f):
+    """The ProductForm of f, or None when f is zero or not product type."""
+    if _is_diseq(f):
+        return ProductForm(f[1], 1)
+    end = _geneq_weights(f)
+    if end is not None:
+        return ProductForm(ONE, 0, end[0], end[1])
+    deg = _degenerate_form(f)
+    if deg is not None:
+        c, (u0, u1) = deg
+        return ProductForm(c, None, u0, u1)
+    return None
+
 
 def in_P(f):
     """Product type: degenerate, binary disequality, or generalized equality."""
-    if is_degenerate(f):
-        return True
-    if f.arity == 2 and f[0].is_zero() and f[2].is_zero() and not f[1].is_zero():
-        return True
-    end = _endpoint_form(f)
-    return end is not None and not end[0].is_zero() and not end[1].is_zero()
+    return f.is_zero() or product_form(f) is not None
 
 
-def _fourth_power_one(x):
-    return (x ** 4) == ONE
+_I_POWERS = (ONE, I, -ONE, -I)
 
 
-def in_A(f):
-    """Affine class, decided by projective pattern matching.
+def _i_power(x):
+    """r with x = i^r, or None."""
+    return next((r for r, p in enumerate(_I_POWERS) if x == p), None)
+
+
+# An AffineForm of f on edge variables x_1..x_n:
+#     f(x) = scalar * unit^n * [support] * i^(const + lin L + parity X)
+# with X = x_1 xor ... xor x_n and L = x_1 + ... + x_n, except that under the
+# "equal" support L is the common value x_1.  ``support`` is None (all of
+# {0,1}^n), "zeros" or "ones" (every x_j is 0, or 1), "equal" (all x_j
+# equal), "even" or "odd" (X = 0, or 1).  Exponents are mod 4.
+AffineForm = namedtuple("AffineForm", "scalar support lin parity const unit",
+                        defaults=(0, 0, 0, ONE))
+
+
+def affine_form(f):
+    """The AffineForm of f, or None when f is zero or not affine.
 
     Nonzero members are degenerate with direction ratio in {0, oo} or a
     fourth root of unity, endpoint-supported with endpoint ratio a fourth
@@ -107,31 +142,45 @@ def in_A(f):
     or period-minus-one (f_{k+2} = -f_k) with f1/f0 in {0, oo, 1, -1}.
     """
     if f.is_zero():
-        return True
-    u = _degenerate_direction(f)
-    if u is not None:
-        u0, u1 = AN(u[0]), AN(u[1])
-        if u0.is_zero() or u1.is_zero():
-            return True
-        return _fourth_power_one(u1 / u0)
-    end = _endpoint_form(f)
+        return None
+    end = _geneq_weights(f)
     if end is not None:
-        a, b = end
-        return not a.is_zero() and not b.is_zero() and _fourth_power_one(b / a)
+        r = _i_power(end[1] / end[0])
+        return None if r is None else AffineForm(end[0], "equal", lin=r)
+    deg = _degenerate_form(f)
+    if deg is not None:
+        c, (u0, u1) = deg
+        if u0.is_zero():
+            return AffineForm(c, "ones", unit=u1)
+        if u1.is_zero():
+            return AffineForm(c, "zeros", unit=u0)
+        r = _i_power(u1 / u0)
+        return None if r is None else AffineForm(c, None, lin=r, unit=u0)
     evens = {f[k] for k in range(0, f.arity + 1, 2)}
     odds = {f[k] for k in range(1, f.arity + 1, 2)}
-    if len(evens) <= 1 and len(odds) <= 1:
-        a = next(iter(evens)) if evens else ZERO
-        b = next(iter(odds)) if odds else ZERO
-        if a.is_zero() or b.is_zero():
-            return True
-        return (b / a) ** 2 == -ONE
+    if len(evens) == 1 and len(odds) == 1:
+        (a,), (b,) = evens, odds
+        if b.is_zero():
+            return AffineForm(a, "even")
+        if a.is_zero():
+            return AffineForm(b, "odd")
+        r = _i_power(b / a)
+        return AffineForm(a, None, parity=r) if r in (1, 3) else None
     if all((f[k + 2] + f[k]).is_zero() for k in range(f.arity - 1)):
         a, b = f[0], f[1]
-        if a.is_zero() or b.is_zero():
-            return True
-        return (b / a) ** 2 == ONE
-    return False
+        if a.is_zero():
+            return AffineForm(b, "odd", lin=1, const=3)
+        if b.is_zero():
+            return AffineForm(a, "even", lin=1)
+        r = _i_power(b / a)
+        if r in (0, 2):
+            return AffineForm(a, None, lin=1, parity=3 - r)
+    return None
+
+
+def in_A(f):
+    """Affine class, decided by projective pattern matching (``affine_form``)."""
+    return f.is_zero() or affine_form(f) is not None
 
 
 def in_Adagger(f):
@@ -177,8 +226,7 @@ def in_ZP(f):
     return in_P(zhat(f))
 
 
-def in_ZM(f):
-    return in_matchgate(zhat(f))
+in_ZM = in_MhatDagger  # Mhat-dagger is the Z image of the matchgates
 
 
 # -- Z-side classes -----------------------------------------------------------
@@ -197,16 +245,7 @@ def in_M4(f):
 
 def in_P2(f):
     """Weighted equality in the Z basis, both weights nonzero."""
-    if f.arity < 2:
-        return False
-    end = _endpoint_form(zhat(f))
-    return end is not None and not end[0].is_zero() and not end[1].is_zero()
-
-
-def _unary_in_P2(u):
-    """Unary u belongs to F* cap P2 iff both Z-basis coordinates are nonzero."""
-    p, q = Z_INV.apply(u)
-    return not p.is_zero() and not q.is_zero()
+    return f.arity >= 2 and _geneq_weights(zhat(f)) is not None
 
 
 def in_vanishing_plus(f):
@@ -315,6 +354,22 @@ def in_transformable_family(f):
 
 # -- set-level transformability -------------------------------------------------
 
+def _integer_nth_root(m, n):
+    """The integer c >= 0 with c^n = m for an integer m >= 0, or None.
+
+    Newton's iteration on integers, as in math.isqrt: it starts above the
+    root and decreases to floor(m^(1/n)), so no float is involved."""
+    if m < 2:
+        return m
+    c = 1 << -(-m.bit_length() // n)
+    while True:
+        d = ((n - 1) * c + m // c ** (n - 1)) // n
+        if d >= c:
+            break
+        c = d
+    return c if c ** n == m else None
+
+
 def _rational_nth_root(r, n):
     """An exact rational q with q^n = r, or None."""
     if r == 0:
@@ -322,18 +377,8 @@ def _rational_nth_root(r, n):
     neg = r < 0
     if neg and n % 2 == 0:
         return None
-    a, b = abs(r.numerator), r.denominator
-
-    def iroot(m):
-        if m == 0:
-            return 0
-        k = max(1, round(m ** (1.0 / n)))
-        for c in (k - 1, k, k + 1):
-            if c >= 0 and c ** n == m:
-                return c
-        return None
-
-    p, q = iroot(a), iroot(b)
+    p, q = _integer_nth_root(abs(r.numerator), n), \
+        _integer_nth_root(r.denominator, n)
     if p is None or q is None:
         return None
     out = Fraction(p, q)
@@ -372,15 +417,20 @@ def _anchor_decompositions(F):
     return out
 
 
+def _distinct_anchors(F):
+    """(u, v, <u,u>, <u,v>, <v,v>) for each anchor x u^n + y v^n with x and
+    y nonzero."""
+    for _, d in _anchor_decompositions(F):
+        if d.kind == "distinct" and not d.x.is_zero() and not d.y.is_zero():
+            u, v = d.u, d.v
+            yield u, v, _pair(u, u), _pair(u, v), _pair(v, v)
+
+
 def p_transformable(F):
     """A transform T with (=_2) T^{tensor 2} in P and F within T P, or None."""
     if all(in_P(f) for f in F):
         return identity2()
-    for f, d in _anchor_decompositions(F):
-        if d.kind != "distinct" or d.x.is_zero() or d.y.is_zero():
-            continue
-        u, v = d.u, d.v
-        uu, uv, vv = _pair(u, u), _pair(u, v), _pair(v, v)
+    for u, v, uu, uv, vv in _distinct_anchors(F):
         legit = (uv.is_zero() and not uu.is_zero() and not vv.is_zero()) or \
             (uu.is_zero() and vv.is_zero() and not uv.is_zero())
         if not legit:
@@ -396,11 +446,7 @@ def a_transformable(F):
     """A transform T with (=_2) T^{tensor 2} in A and F within T A, or None."""
     if all(in_A(f) for f in F):
         return identity2()
-    for f, d in _anchor_decompositions(F):
-        if d.kind != "distinct" or d.x.is_zero() or d.y.is_zero():
-            continue
-        u, v = d.u, d.v
-        uu, uv, vv = _pair(u, u), _pair(u, v), _pair(v, v)
+    for u, v, uu, uv, vv in _distinct_anchors(F):
         taus = []
         if uu.is_zero() and vv.is_zero() and not uv.is_zero():
             # P2-type anchor: T = Z diag(1, delta); harvest delta from the
@@ -409,7 +455,7 @@ def a_transformable(F):
             for g in F:
                 if g.is_zero() or not in_P2(g):
                     continue
-                a, b = _endpoint_form(zhat(g))
+                a, b = _geneq_weights(zhat(g))
                 for r in range(4):
                     for target in (b / a * I ** r, a / b * I ** r):
                         deltas.extend(nth_roots_in_field(target, g.arity))
@@ -453,19 +499,18 @@ def m_transformable(F):
         return Z
     kappas = []
     for f, d in _anchor_decompositions(F):
+        p, q = Z_INV.apply(d.u)
         if d.kind == "double":
-            p, q = Z_INV.apply(d.u)
             if not q.is_zero():
                 kappas.extend([p / q, -(p / q)])
             continue
-        p, q = Z_INV.apply(d.u)
         pp, qq = Z_INV.apply(d.v)
         if not (p.is_zero() or q.is_zero() or pp.is_zero() or qq.is_zero()):
             s = sqrt_in_field(p * pp / (q * qq))
             if s is not None and not s.is_zero():
                 kappas.extend([s, -s])
         elif in_P2(f):
-            a, b = _endpoint_form(zhat(f))
+            a, b = _geneq_weights(zhat(f))
             kappas.extend(nth_roots_in_field(a / b, f.arity))
             kappas.extend(nth_roots_in_field(-(a / b), f.arity))
     for kappa in kappas:
@@ -526,9 +571,7 @@ def dichotomy_binary_eq(f, S):
     S = sorted(set(int(k) for k in S))
     if not S or max(S) < 3 or min(S) < 1:
         raise BadS("the arity set must contain some r >= 3")
-    d = 0
-    for k in S:
-        d = gcd(d, k)
+    d = gcd(*S)
     f0, f1, f2 = AN(f[0]), AN(f[1]), AN(f[2])
     conditions = [
         ("condition 1", f0 * f2 == f1 * f1),
@@ -610,7 +653,8 @@ ROUTE_M = ("M-transformable (case 6)", m_transformable)
 
 def dichotomy_plholant_set(F):
     """The full dichotomy for a finite set of symmetric signatures."""
-    sigs = [f for f in F if not f.is_zero()]
+    # a nonzero constant (arity 0) only scales the Holant
+    sigs = [f for f in F if f.arity and not f.is_zero()]
     nd3 = [f for f in sigs if f.arity >= 3 and not is_degenerate(f)]
     binaries = [f for f in sigs if f.arity == 2 and not is_degenerate(f)]
     degs = [f for f in sigs if is_degenerate(f)]
@@ -672,10 +716,7 @@ def dichotomy_plholant_set(F):
                                    % sigma)
         si = I if sigma == "+" else -I
         for v in degs:
-            u = _degenerate_direction(v)
-            if u is None:
-                continue
-            u0, u1 = AN(u[0]), AN(u[1])
+            u0, u1 = _degenerate_form(v)[1]
             if not (u1 == si * u0 and not u0.is_zero()):
                 return SetVerdict(
                     "plholant", False,
@@ -689,8 +730,8 @@ def dichotomy_plholant_set(F):
     m4s = [g for g in nd3 if in_M4(g)]
     p2s = [g for g in nd3 if in_P2(g) and not in_M4(g)]
 
+    sigmas = {"+" if in_M4_plus(g) else "-" for g in m4s}
     if not p2s:
-        sigmas = {"+" if in_M4_plus(g) else "-" for g in m4s}
         if len(sigmas) == 1:
             sigma = next(iter(sigmas))
             offenders = [h for h in binaries if not in_R2(h, sigma)]
@@ -699,8 +740,7 @@ def dichotomy_plholant_set(F):
                                   case="all non-degenerate in R2^%s (case 5)"
                                        % sigma)
             for h in offenders:
-                end = _endpoint_form(zhat(h))
-                if end is None or end[0].is_zero() or end[1].is_zero():
+                if _geneq_weights(zhat(h)) is None:
                     return SetVerdict(
                         "plholant", False,
                         obstruction="binary %r is incompatible with the "
@@ -708,20 +748,13 @@ def dichotomy_plholant_set(F):
         else:
             for h in binaries:
                 hh = zhat(h)
-                end = _endpoint_form(hh)
-                geneq = end is not None and not end[0].is_zero() \
-                    and not end[1].is_zero()
-                diseq = hh.proportional_to(exact_one(2))
-                if not (geneq or diseq):
+                if _geneq_weights(hh) is None and not _is_diseq(hh):
                     return SetVerdict(
                         "plholant", False,
                         obstruction="binary %r is incompatible with mixed "
                                     "matching sides" % h)
             for v in degs:
-                u = _degenerate_direction(v)
-                if u is None:
-                    continue
-                u0, u1 = AN(u[0]), AN(u[1])
+                u0, u1 = _degenerate_form(v)[1]
                 if not (not u0.is_zero() and (u1 == I * u0 or u1 == -I * u0)):
                     return SetVerdict(
                         "plholant", False,
@@ -745,7 +778,6 @@ def dichotomy_plholant_set(F):
                           case="P-transformable (case 3)", witness=Z)
 
     # mixed weighted equalities and perfect-matching side
-    sigmas = {"+" if in_M4_plus(g) else "-" for g in m4s}
     if len(sigmas) == 2:
         return SetVerdict("plholant", False,
                           obstruction="both matching sides mix with "
@@ -754,12 +786,12 @@ def dichotomy_plholant_set(F):
     arities = [g.arity for g in p2s]
     arities += [h.arity for h in binaries if in_P2(h)]
     for v in degs:
-        u = _degenerate_direction(v)
-        if u is not None and _unary_in_P2(u):
+        # a unary direction is in P2 iff both its Z-basis coordinates are
+        # nonzero
+        p, q = Z_INV.apply(_degenerate_form(v)[1])
+        if not p.is_zero() and not q.is_zero():
             arities.append(1)
-    d = 0
-    for a in arities:
-        d = gcd(d, a)
+    d = gcd(*arities)
     if d <= 4:
         return SetVerdict(
             "plholant", False,
@@ -787,9 +819,7 @@ def hypergraph_verdict(S):
     sizes = list(S)
     if not sizes:
         raise ValueError("the size multiset must be nonempty")
-    t = 0
-    for k in sizes:
-        t = gcd(t, int(k))
+    t = gcd(*map(int, sizes))
     if t >= 5 or set(sizes) <= {1, 2}:
         return SetVerdict("hpm", True, case="gcd %d" % t)
     return SetVerdict("hpm", False,

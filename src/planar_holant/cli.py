@@ -611,8 +611,7 @@ def run(argv=None):
     except TooLarge as exc:
         emit({"error": "TooLarge", "message": str(exc)})
         return EXIT_UNAVAILABLE
-    except (ValueError, KeyError, TypeError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError, ArithmeticError) as exc:
         emit({"error": type(exc).__name__, "message": str(exc)})
         return EXIT_INVALID
 

@@ -75,38 +75,18 @@ class PlanarGrid:
         self._index()
 
     def _index(self):
-        self.half_owner = {}
         for v in self.vertices.values():
-            arity = v.sig.arity
-            if len(v.rotation) != arity:
+            if len(v.rotation) != v.sig.arity:
                 raise StructureError(
                     "vertex %r degree %d != signature arity %d"
-                    % (v.id, len(v.rotation), arity))
-            for h in v.rotation:
-                if h in self.half_owner:
-                    raise StructureError("half-edge %r used twice" % (h,))
-                self.half_owner[h] = v.id
-        self.partner = {}
-        seen = set()
-        for (a, b) in self.edges:
-            for h in (a, b):
-                if h not in self.half_owner:
-                    raise StructureError("edge uses unknown half-edge %r" % (h,))
-                if h in seen:
-                    raise StructureError("half-edge %r in two edges" % (h,))
-                seen.add(h)
-            self.partner[a] = b
-            self.partner[b] = a
-        for h in self.dangling:
-            if h not in self.half_owner:
-                raise StructureError("dangling unknown half-edge %r" % (h,))
-            if h in seen:
-                raise StructureError("half-edge %r both matched and dangling" % (h,))
-            seen.add(h)
-        missing = set(self.half_owner) - seen
-        if missing:
-            raise StructureError("half-edges neither matched nor dangling: %r"
-                                 % sorted(missing))
+                    % (v.id, len(v.rotation), v.sig.arity))
+        self.half_owner, self.partner = _link(
+            {v.id: v.rotation for v in self.vertices.values()}, self.edges,
+            self.dangling)
+
+    def edge_index(self):
+        """Half-edge id -> index of its edge in ``edges``."""
+        return {h: ei for ei, e in enumerate(self.edges) for h in e}
 
     # -- faces and planarity ------------------------------------------------
 
@@ -115,47 +95,14 @@ class PlanarGrid:
 
         Dangling half-edges are ignored; only matched darts trace faces.
         """
-        partner = self.partner
-        nxt_at = {}
-        for v in self.vertices.values():
-            rot = [h for h in v.rotation if h in partner]
-            for i, h in enumerate(rot):
-                nxt_at[h] = rot[(i + 1) % len(rot)]
-        out = []
-        visited = set()
-        for h0 in sorted(nxt_at, key=repr):
-            if h0 in visited or h0 not in partner:
-                continue
-            face = []
-            h = h0
-            while True:
-                face.append(h)
-                visited.add(h)
-                h = nxt_at[partner[h]]
-                if h == h0:
-                    break
-            out.append(face)
-        return out
+        return _trace_faces((v.rotation for v in self.vertices.values()),
+                            self.partner)
 
     def _components(self):
-        parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        for (a, b) in self.edges:
-            union(self.half_owner[a], self.half_owner[b])
+        uf = _connect(self.edges, self.half_owner)
         comps = {}
         for v in self.vertices:
-            comps.setdefault(find(v), []).append(v)
+            comps.setdefault(uf.find(v), []).append(v)
         return list(comps.values())
 
     def validate(self):
@@ -165,39 +112,19 @@ class PlanarGrid:
         rotation reverses the declared counterclockwise order, which also
         checks that the dangling edges can sit on a common outer face.
         """
-        if self.dangling:
-            virt_halves = ["__virt_%d" % k for k in range(len(self.dangling))]
-            virt = Vertex("__virt", _DummySig(len(self.dangling)),
-                          list(reversed(virt_halves)))
-            pairs = list(zip(self.dangling, virt_halves))
-            closed = PlanarGrid(
-                list(self.vertices.values()) + [virt],
-                self.edges + pairs,
-                (), self.side, self.scalar)
-            faces = closed.faces()
-            ok = closed._euler_ok()
-            if not ok and self._euler_ok():
-                raise OrderError("dangling order inconsistent with an outer face")
-            return faces, ok
-        return self.faces(), self._euler_ok()
-
-    def _euler_ok(self):
-        comp = self._components()
-        vert_comp = {}
-        for ci, vs in enumerate(comp):
-            for v in vs:
-                vert_comp[v] = ci
-        e_count = [0] * len(comp)
-        f_sets = [set() for _ in comp]
-        for (a, b) in self.edges:
-            e_count[vert_comp[self.half_owner[a]]] += 1
-        for fi, face in enumerate(self.faces()):
-            f_sets[vert_comp[self.half_owner[face[0]]]].add(fi)
-        for ci, vs in enumerate(comp):
-            f = len(f_sets[ci]) if e_count[ci] else 1
-            if len(vs) - e_count[ci] + f != 2:
-                return False
-        return True
+        rotations = {v.id: v.rotation for v in self.vertices.values()}
+        if not self.dangling:
+            return _genus0(rotations, self.edges, self.half_owner,
+                           self.partner)
+        virt_halves = ["__virt_%d" % k for k in range(len(self.dangling))]
+        closed = dict(rotations)
+        closed[_VIRTUAL] = list(reversed(virt_halves))
+        edges = self.edges + list(zip(self.dangling, virt_halves))
+        faces, ok = _genus0(closed, edges, *_link(closed, edges))
+        if not ok and _genus0(rotations, self.edges, self.half_owner,
+                              self.partner)[1]:
+            raise OrderError("dangling order inconsistent with an outer face")
+        return faces, ok
 
     # -- evaluation -----------------------------------------------------------
 
@@ -205,10 +132,13 @@ class PlanarGrid:
         """Exact Holant value by frontier contraction over all edge assignments."""
         if self.dangling:
             raise StructureError("holant needs a closed grid; use gate_signature")
+        self._check_cap(cap)
+        return self.scalar * _contract(self, {})
+
+    def _check_cap(self, cap):
         if len(self.edges) > edge_cap(cap):
             raise TooLarge("edge count %d over cap %d"
                            % (len(self.edges), edge_cap(cap)))
-        return self.scalar * _contract(self, {})
 
     def gate_signature(self, cap=None):
         """The F-gate signature over the dangling edges, as a GeneralSignature."""
@@ -216,9 +146,7 @@ class PlanarGrid:
             raise StructureError("gate needs dangling edges")
         if len(self._components()) > 1:
             raise StructureError("multi-component gates are not supported")
-        if len(self.edges) > edge_cap(cap):
-            raise TooLarge("edge count %d over cap %d"
-                           % (len(self.edges), edge_cap(cap)))
+        self._check_cap(cap)
         m = len(self.dangling)
         ents = []
         for idx in range(1 << m):
@@ -227,19 +155,136 @@ class PlanarGrid:
         return GeneralSignature(m, ents)
 
 
-class _DummySig:
-    """Placeholder signature for the virtual closing vertex."""
+# the id of the virtual vertex that closes off dangling edges in validate
+_VIRTUAL = object()
 
-    def __init__(self, arity):
-        self.arity = arity
+
+def _link(rotations, edges, dangling=()):
+    """(half_owner, partner) of a rotation system.
+
+    ``rotations`` maps each vertex id to its half-edge ids and ``edges``
+    pairs half-edges; every half-edge must be in exactly one edge or in
+    ``dangling``.
+    """
+    half_owner = {}
+    for vid, rot in rotations.items():
+        for h in rot:
+            if h in half_owner:
+                raise StructureError("half-edge %r used twice" % (h,))
+            half_owner[h] = vid
+    partner = {}
+    seen = set()
+    for (a, b) in edges:
+        for h in (a, b):
+            if h not in half_owner:
+                raise StructureError("edge uses unknown half-edge %r" % (h,))
+            if h in seen:
+                raise StructureError("half-edge %r in two edges" % (h,))
+            seen.add(h)
+        partner[a] = b
+        partner[b] = a
+    for h in dangling:
+        if h not in half_owner:
+            raise StructureError("dangling unknown half-edge %r" % (h,))
+        if h in seen:
+            raise StructureError("half-edge %r both matched and dangling" % (h,))
+        seen.add(h)
+    missing = set(half_owner) - seen
+    if missing:
+        raise StructureError("half-edges neither matched nor dangling: %r"
+                             % sorted(missing))
+    return half_owner, partner
+
+
+def _trace_faces(rotations, partner):
+    """Face orbits of the rotation system given by the half-edge lists in
+    ``rotations``, as lists of out-dart half-edges; half-edges without a
+    partner are skipped.  Orbits start at their least half-edge by repr."""
+    nxt = {}
+    for rot in rotations:
+        rot = [h for h in rot if h in partner]
+        for i, h in enumerate(rot):
+            nxt[h] = rot[(i + 1) % len(rot)]
+    faces = []
+    seen = set()
+    for h0 in sorted(nxt, key=repr):
+        if h0 in seen:
+            continue
+        face = []
+        h = h0
+        while True:
+            face.append(h)
+            seen.add(h)
+            h = nxt[partner[h]]
+            if h == h0:
+                break
+        faces.append(face)
+    return faces
+
+
+def _connect(edges, half_owner):
+    """A _DisjointSet whose classes are the connected components."""
+    uf = _DisjointSet()
+    for e in edges:
+        uf.union(half_owner[e[0]], half_owner[e[1]])
+    return uf
+
+
+def _genus0(rotations, edges, half_owner, partner):
+    """(faces, ok): the face orbits, and whether every connected component
+    has Euler characteristic V - E + F = 2, where an edgeless component
+    counts one face."""
+    faces = _trace_faces(rotations.values(), partner)
+    uf = _connect(edges, half_owner)
+    count = {}  # component root -> [V - E, F]
+    for v in rotations:
+        count.setdefault(uf.find(v), [0, 0])[0] += 1
+    for (a, _) in edges:
+        count[uf.find(half_owner[a])][0] -= 1
+    for face in faces:
+        count[uf.find(half_owner[face[0]])][1] += 1
+    return faces, all(ve + max(f, 1) == 2 for ve, f in count.values())
+
+
+class _DisjointSet:
+    """Union-find over hashable elements, added on first use, that also
+    tracks the parity of each element relative to its root."""
+
+    def __init__(self):
+        self.parent = {}
+        self.offset = {}
+
+    def locate(self, x):
+        """(root of x, parity of x relative to its root)."""
+        path = []
+        while self.parent.setdefault(x, x) != x:
+            path.append(x)
+            x = self.parent[x]
+        off = 0
+        for node in reversed(path):
+            off ^= self.offset[node]
+            self.offset[node] = off
+            self.parent[node] = x
+        return x, off
+
+    def find(self, x):
+        return self.locate(x)[0]
+
+    def union(self, a, b, parity=0):
+        """Record parity(a) xor parity(b) = parity, putting the root of a
+        under the root of b; False when that contradicts what is known."""
+        ra, oa = self.locate(a)
+        rb, ob = self.locate(b)
+        if ra == rb:
+            return oa ^ ob == parity
+        self.parent[ra] = rb
+        self.offset[ra] = oa ^ ob ^ parity
+        return True
 
 
 def _contract(grid, pinned):
     """Sum over assignments of matched edges; dangling bits fixed by `pinned`."""
-    edge_of = {}
-    for ei, (a, b) in enumerate(grid.edges):
-        edge_of[a] = ei
-        edge_of[b] = ei
+    edge_of = grid.edge_index()
     states = {(): ONE}
     open_edges = []  # edges with exactly one processed endpoint, in state-key order
     for vid in _vertex_order(grid):
@@ -254,9 +299,7 @@ def _contract(grid, pinned):
                 fixed[i] = pinned[h]
                 continue
             ei = edge_of[h]
-            a, b = grid.edges[ei]
-            other = b if h == a else a
-            if grid.half_owner[other] == vid:
+            if grid.half_owner[grid.partner[h]] == vid:
                 if ei in loop_first:
                     loop_pairs[i] = loop_first[ei]
                 else:
@@ -346,7 +389,6 @@ def _fresh_ids(grid, count):
         cand = "s%d" % k
         if cand not in used:
             ids.append(cand)
-            used.add(cand)
         k += 1
     return ids
 
@@ -412,20 +454,35 @@ def grid_from_json(doc):
     for vd in doc["vertices"]:
         if vd["sig"] not in sigs:
             raise StructureError("unknown signature %r" % vd["sig"])
-        vertices.append(Vertex(vd["id"], sigs[vd["sig"]], vd["rotation"]))
+        vid = vd["id"]
+        if isinstance(vid, list):  # a tuple id; other ids stay as written
+            vid = _json_id(vid)
+        vertices.append(Vertex(vid, sigs[vd["sig"]], vd["rotation"]))
+    ids = {v.id for v in vertices}
     side = {}
     for k, s in (doc.get("side") or {}).items():
-        side[_maybe_int(k)] = s
+        key = _json_id(k)
+        if key not in ids and str(k).startswith("["):
+            try:  # a tuple key, written as a JSON list by grid_to_json
+                key = _json_id(json.loads(k))
+            except ValueError:
+                pass
+        side[key] = s
     scalar = AN(doc["scalar"]) if doc.get("scalar") else ONE
     return PlanarGrid(vertices, [tuple(e) for e in doc["edges"]],
                       doc.get("dangling", ()), side, scalar)
 
 
-def _maybe_int(k):
+def _json_id(x):
+    """An id as it was before a JSON round trip, which writes tuples as
+    lists and object keys as strings: a list becomes a tuple again and a
+    key holding an int becomes the int."""
+    if isinstance(x, list):
+        return tuple(_json_id(e) if isinstance(e, list) else e for e in x)
     try:
-        return int(k)
+        return int(x)
     except (TypeError, ValueError):
-        return k
+        return x
 
 
 def grid_to_json(grid):
@@ -443,7 +500,9 @@ def grid_to_json(grid):
                      for v in grid.vertices.values()],
         "edges": [list(e) for e in grid.edges],
         "dangling": list(grid.dangling),
-        "side": {str(k): v for k, v in grid.side.items()},
+        # tuple keys as JSON lists, which grid_from_json reads back as tuples
+        "side": {(json.dumps(k) if isinstance(k, tuple) else str(k)): v
+                 for k, v in grid.side.items()},
         "scalar": str(grid.scalar),
     }
 

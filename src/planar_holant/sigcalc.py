@@ -349,11 +349,6 @@ class RecurrenceType:
         assert self.basis
         return self.basis[0]
 
-    def has_distinct_roots(self):
-        """b^2 != 4ac for the (unique up to scale) triple; rank-2 case only."""
-        a, b, c = self.triple()
-        return b * b != AN(4) * a * c
-
 
 def recurrence_analysis(f):
     n = f.arity
@@ -378,16 +373,6 @@ def vanishing_degrees(f):
     rdp = nz[-1]
     rdm = n - nz[0]
     return (rdp, n - rdp, rdm, n - rdm)
-
-
-def in_vanishing_plus(f):
-    rdp, vdp, _, _ = vanishing_degrees(f)
-    return 2 * vdp > f.arity
-
-
-def in_vanishing_minus(f):
-    _, _, rdm, vdm = vanishing_degrees(f)
-    return 2 * vdm > f.arity
 
 
 # -- general (asymmetric) signatures and arity-4 matrices -------------------
@@ -522,23 +507,25 @@ class TensorDecomposition:
         raise ValueError("no expansion for kind %r" % self.kind)
 
 
-def _solve_distinct_weights(f, u, v):
-    """x, y with f = x u^n + y v^n, or None."""
+def _solve_pair(f, p, q, expand):
+    """(x, y) with f = x p + y q, solved on the first two independent entries
+    and kept only when expand(x, y) == f; else None."""
     n = f.arity
-    pu = degenerate(u, n)
-    pv = degenerate(v, n)
-    # find two independent rows
     for k1 in range(n + 1):
         for k2 in range(k1 + 1, n + 1):
-            d = pu[k1] * pv[k2] - pu[k2] * pv[k1]
+            d = p[k1] * q[k2] - p[k2] * q[k1]
             if d.is_zero():
                 continue
-            x = (f[k1] * pv[k2] - f[k2] * pv[k1]) / d
-            y = (pu[k1] * f[k2] - pu[k2] * f[k1]) / d
-            if pu.scale(x) + pv.scale(y) == f:
-                return x, y
-            return None
+            x = (f[k1] * q[k2] - f[k2] * q[k1]) / d
+            y = (p[k1] * f[k2] - p[k2] * f[k1]) / d
+            return (x, y) if expand(x, y) == f else None
     return None
+
+
+def _solve_distinct_weights(f, u, v):
+    """x, y with f = x u^n + y v^n, or None."""
+    pu, pv = degenerate(u, f.arity), degenerate(v, f.arity)
+    return _solve_pair(f, pu, pv, lambda x, y: pu.scale(x) + pv.scale(y))
 
 
 def _solve_double(f, u):
@@ -550,17 +537,7 @@ def _solve_double(f, u):
          for k in range(n + 1)]
     b = [AN(k) * self_pow(u1, k - 1) * self_pow(u0, n - k) if k >= 1 else ZERO
          for k in range(n + 1)]
-    for k1 in range(n + 1):
-        for k2 in range(k1 + 1, n + 1):
-            d = a[k1] * b[k2] - a[k2] * b[k1]
-            if d.is_zero():
-                continue
-            v0 = (f[k1] * b[k2] - f[k2] * b[k1]) / d
-            v1 = (a[k1] * f[k2] - a[k2] * f[k1]) / d
-            if sym_n_n1((u0, u1), (v0, v1), n) == f:
-                return (v0, v1)
-            return None
-    return None
+    return _solve_pair(f, a, b, lambda v0, v1: sym_n_n1(u, (v0, v1), n))
 
 
 def _roots_of_triple(p, q, r):
@@ -603,19 +580,31 @@ def _try_decompose_with_triple(f, triple):
     return None
 
 
+def _degenerate_form(f):
+    """(c, u) with f = c * u^{tensor n} and u = (1, lam) or (0, 1) when f is
+    nonzero and degenerate, else None.  A nonzero constant (arity 0) is
+    c * [1, 0]^{tensor 0}."""
+    n = f.arity
+    if f[0].is_zero():
+        if all(f[k].is_zero() for k in range(n)) and not f[n].is_zero():
+            return f[n], (ZERO, ONE)
+        return None
+    lam = f[1] / f[0] if n else ZERO
+    term = f[0]
+    for k in range(1, n + 1):
+        term = term * lam
+        if f[k] != term:
+            return None
+    return f[0], (ONE, lam)
+
+
 def tensor_decompose(f):
     n = f.arity
     if f.is_zero():
         return TensorDecomposition("zero", n)
-    # degenerate test
-    if not f[0].is_zero():
-        lam = f[1] / f[0]
-        if all(f[k] == f[0] * lam ** k for k in range(n + 1)):
-            return TensorDecomposition("degenerate", n, u=(ONE, lam), c=f[0])
-    elif all(f[k].is_zero() for k in range(n)):
-        return TensorDecomposition("degenerate", n, u=(ZERO, ONE), c=f[n])
-    if n == 1:
-        return TensorDecomposition("degenerate", 1, u=(f[0], f[1]), c=ONE)
+    deg = _degenerate_form(f)
+    if deg is not None:
+        return TensorDecomposition("degenerate", n, u=deg[1], c=deg[0])
     rows = [(f[k], f[k + 1], f[k + 2]) for k in range(n - 1)]
     basis = _null_space(rows)
     if not basis:

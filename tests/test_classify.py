@@ -354,3 +354,26 @@ def test_classify_signature_table():
     assert t["P"] and t["A"] and t["Mhat"] and not t["M4plus"]
     t = classify_signature(exact_one(5))
     assert t["M3"] and t["Matchgate"]
+
+
+def test_rational_nth_root_is_exact_beyond_float_range():
+    from planar_holant.classify import _rational_nth_root
+    big = 10 ** 20 + 39
+    assert _rational_nth_root(Fraction(big ** 3), 3) == big
+    assert _rational_nth_root(Fraction(big ** 3 + 1), 3) is None
+    assert _rational_nth_root(Fraction(3 ** 700), 700) == 3
+    assert _rational_nth_root(Fraction(-(big ** 5), 3 ** 700), 5) == \
+        Fraction(-big, 3 ** 140)
+    assert _rational_nth_root(Fraction(3 ** 700), 3) is None
+
+
+def test_constant_signature_leaves_the_set_verdict_unchanged():
+    c = sig([2])
+    assert in_P(c) and in_A(c)
+    for F in ([transform(Z, sig([1, 2, 3, 0, 0, 0]))],
+              [transform(Z, equality(5)), transform(Z, exact_one(3))],
+              [sig([1, 0, 1, 0]), sig([1, 1, 0, 0])]):
+        plain = dichotomy_plholant_set(F)
+        with_c = dichotomy_plholant_set(F + [c])
+        assert (with_c.tractable, with_c.case, with_c.obstruction) == \
+            (plain.tractable, plain.case, plain.obstruction)

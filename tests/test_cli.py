@@ -354,3 +354,48 @@ def test_scalars_round_trip_through_grammar(tmp_path, capsys):
     assert code == 0
     grid = grid_from_json(doc)
     assert AN(out["value"]) == naive_holant(grid)
+
+
+# -- inputs that used to end in a traceback ------------------------------------
+
+
+def test_classify_huge_weight_reports_a_verdict(tmp_path, capsys):
+    f = transform(Z, sig([3 ** 700, 0, 0, 1]))
+    path = write_doc(tmp_path, {"signatures": {
+        "f": [str(e) for e in f.entries], "g": ["1", "2", "1"]}})
+    code, doc = run_cli(capsys, ["classify", path])
+    assert code == 0
+    assert doc["verdict"]["framework"] == "plholant"
+
+
+def test_arithmetic_error_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text('{"f": ["1", "0", "1"], "S": [3, 1e999]}')
+    code, doc = run_cli(capsys, ["classify", "--framework", "binary-eq",
+                                 str(path)])
+    assert code == 2
+    assert doc["error"] == "OverflowError"
+
+
+def test_eval_isolated_constant_vertex(tmp_path, capsys):
+    doc = self_loop_doc()
+    doc["signatures"]["c"] = ["2"]
+    doc["vertices"].append({"id": 1, "sig": "c", "rotation": []})
+    path = write_doc(tmp_path, doc)
+    for method in ("auto", "product", "affine", "brute"):
+        code, out = run_cli(capsys, ["eval", "--method", method, path])
+        assert code == 0
+        assert out["value"] == "4"
+
+
+def test_stretched_grid_round_trips_through_json(tmp_path, capsys):
+    from planar_holant.grid import two_stretch
+    grid = k4_grid(lambda v: equality(3))
+    stretched = two_stretch(grid)
+    doc = json.loads(json.dumps(grid_to_json(stretched)))
+    assert grid_to_json(grid_from_json(doc)) == grid_to_json(stretched)
+    path = write_doc(tmp_path, doc)
+    for method in ("auto", "brute"):
+        code, out = run_cli(capsys, ["eval", "--method", method, path])
+        assert code == 0
+        assert AN(out["value"]) == naive_holant(grid)

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -265,3 +266,23 @@ def test_json_parse():
     }
     g = grid_from_json(doc)
     assert g.holant() == AN(2) * I
+
+
+def test_dangling_order_off_the_outer_face():
+    g = wheel_gate()
+    bad = PlanarGrid(list(g.vertices.values()), g.edges,
+                     dangling=["d1", "d7", "d5", "d3"])
+    with pytest.raises(OrderError):
+        bad.validate()
+    faces, ok = g.validate()
+    assert ok and any("__virt_0" in face for face in faces)
+
+
+def test_json_keeps_string_ids_that_look_like_lists():
+    eq = sig([1, 0, 1])
+    g = PlanarGrid([Vertex("[0]", eq, ["a", "b"]), Vertex("[1, 2]", eq, ["c", "d"])],
+                   [("a", "c"), ("b", "d")], side={"[0]": "L", "[1, 2]": "R"})
+    g2 = grid_from_json(json.loads(json.dumps(grid_to_json(g))))
+    assert set(g2.vertices) == {"[0]", "[1, 2]"}
+    assert g2.side == g.side
+    assert g2.holant() == g.holant()

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -1230,3 +1231,72 @@ def test_evaluate_hard_fallback():
     with pytest.raises(TooLarge) as e:
         evaluate(grid, cap=2)
     assert "#P-hard" in str(e.value)
+
+
+def test_weighted_graph_rejects_malformed_embeddings():
+    from planar_holant.grid import EmbeddingError
+    k5 = {v: ["%d_%d" % (v, w) for w in range(5) if w != v] for v in range(5)}
+    k5_edges = [("%d_%d" % (v, w), "%d_%d" % (w, v), ONE)
+                for v in range(5) for w in range(v + 1, 5)]
+    with pytest.raises(EmbeddingError):
+        WeightedPlanarGraph(list(k5), k5, k5_edges)
+    with pytest.raises(StructureError):
+        WeightedPlanarGraph([0, 0], {0: ["a", "b"]}, [("a", "b", ONE)])
+    with pytest.raises(StructureError):
+        WeightedPlanarGraph([0, 1], {0: ["a"], 1: ["b"]}, [("a", "c", ONE)])
+    with pytest.raises(StructureError):
+        WeightedPlanarGraph([0, 1], {0: ["a", "x"], 1: ["b"]},
+                            [("a", "b", ONE)])
+    with pytest.raises(StructureError):
+        WeightedPlanarGraph([0, 1], {0: ["a"], 1: ["a"]}, [("a", "a", ONE)])
+
+
+def _closed_grid(f):
+    """f with its slots paired into self-loops; an odd last slot goes to a
+    unary [1, 1], which is product type and affine."""
+    halves = ["h%d" % k for k in range(f.arity)]
+    verts = [Vertex("x", f, halves)]
+    edges = [(halves[k], halves[k + 1]) for k in range(0, f.arity - 1, 2)]
+    if f.arity % 2:
+        verts.append(Vertex("y", sig([1, 1]), ["u"]))
+        edges.append((halves[-1], "u"))
+    return PlanarGrid(verts, edges)
+
+
+def test_recognisers_agree_with_solvers():
+    """in_P / in_A accept f exactly when product_eval / affine_eval accept a
+    grid of f, and then the values match brute force, for every nonzero
+    symmetric f of arity 1-4 with entries in {0, +-1, +-i, 2}."""
+    values = [ZERO, ONE, -ONE, I, -I, AN(2)]
+    for n in range(1, 5):
+        for entries in itertools.product(values, repeat=n + 1):
+            f = sig(entries)
+            if f.is_zero():
+                continue
+            grid = _closed_grid(f)
+            brute = grid.holant()
+            for member, solver in ((in_P, product_eval), (in_A, affine_eval)):
+                try:
+                    value = solver(grid)
+                except ClassError:
+                    value = None
+                assert member(f) == (value is not None), (f, solver)
+                assert value is None or value == brute, (f, solver)
+
+
+def test_grids_with_isolated_constant():
+    """A constant vertex scales the case-7 and the exact-one (FKT) routes;
+    cap=1 rules out brute force."""
+    for g in (z_wheel_grid(2, 3), k4_grid(lambda v: exact_one(3).scale(AN(v)))):
+        with_c = PlanarGrid(list(g.vertices.values()) + [Vertex("c", sig([3]), [])],
+                            g.edges)
+        assert evaluate(with_c, cap=1) == AN(3) * naive_holant(g)
+    assert evaluate(with_c, method="fkt") == AN(3) * naive_holant(g)
+
+
+def test_weighted_graph_json_keeps_string_ids_that_look_like_lists():
+    g = WeightedPlanarGraph(["[0]", "[1]"], {"[0]": ["a"], "[1]": ["b"]},
+                            [("a", "b", AN(5))])
+    g2 = weighted_graph_from_json(json.loads(json.dumps(weighted_graph_to_json(g))))
+    assert list(g2.vertex_ids) == ["[0]", "[1]"]
+    assert fkt_count_pm(g2) == AN(5)
