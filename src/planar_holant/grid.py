@@ -397,7 +397,9 @@ def two_stretch(grid):
     """Insert an equality vertex in the middle of every matched edge.
 
     The result is bipartition-tagged: new equalities on the left, original
-    vertices on the right.  The Holant value is unchanged.
+    vertices on the right.  The Holant value is unchanged.  The equality on
+    edge ei is ``("eq", ei)``, or, if the grid already has a vertex of that
+    id, ``("eq", ei, k)`` with the least free k >= 1.
     """
     fresh = _fresh_ids(grid, 2 * len(grid.edges))
     new_vertices = list(grid.vertices.values())
@@ -405,9 +407,12 @@ def two_stretch(grid):
     side = {v: "R" for v in grid.vertices}
     for ei, (a, b) in enumerate(grid.edges):
         ha, hb = fresh[2 * ei], fresh[2 * ei + 1]
-        w = Vertex(("eq", ei), equality(2), [ha, hb])
-        new_vertices.append(w)
-        side[("eq", ei)] = "L"
+        vid, k = ("eq", ei), 0
+        while vid in grid.vertices:
+            k += 1
+            vid = ("eq", ei, k)
+        new_vertices.append(Vertex(vid, equality(2), [ha, hb]))
+        side[vid] = "L"
         new_edges.append((a, ha))
         new_edges.append((b, hb))
     return PlanarGrid(new_vertices, new_edges, grid.dangling, side, grid.scalar)
@@ -425,14 +430,15 @@ def holographic_transform_bipartite(grid, T):
         raise SingularTransform("transform must be invertible")
     Tinv = T.inverse()
     new_vertices = []
+    done = {}  # (side, signature) -> transformed signature
     for v in grid.vertices.values():
         if not isinstance(v.sig, SymmetricSignature):
             raise StructureError("holographic transforms need symmetric signatures")
-        if grid.side[v.id] == "L":
-            ns = row_transform(v.sig, T)
-        else:
-            ns = transform(Tinv, v.sig)
-        new_vertices.append(Vertex(v.id, ns, v.rotation))
+        key = (grid.side[v.id], v.sig)
+        if key not in done:
+            done[key] = (row_transform(v.sig, T) if key[0] == "L"
+                         else transform(Tinv, v.sig))
+        new_vertices.append(Vertex(v.id, done[key], v.rotation))
     return PlanarGrid(new_vertices, grid.edges, grid.dangling, grid.side, grid.scalar)
 
 

@@ -3,8 +3,9 @@
 Five solver families live here:
 
 * ``fkt_count_pm``: weighted perfect matchings of a planar graph through a
-  Pfaffian orientation (spanning tree plus dual-tree face fixing) and exact
-  skew-symmetric elimination;
+  Pfaffian orientation (spanning tree plus dual-tree face fixing) and a
+  sparse skew-symmetric elimination in minimum-degree order that inverts
+  each pivot once and takes its sign from the all-ones Pfaffian over Q;
 * ``product_eval``: product-type grids, by propagating the at-most-two
   consistent patterns per constraint component;
 * ``affine_eval``: affine grids, by Gauss-sum variable elimination over F_2
@@ -19,6 +20,7 @@ falling back to capped brute force.  ``hypergraph_pm`` counts perfect
 matchings of planar hypergraphs through the same machinery.
 """
 
+from fractions import Fraction
 from math import gcd
 
 from .algebra import AN, I, ONE, SQRT2, ZERO, ZETA
@@ -100,32 +102,54 @@ class WeightedPlanarGraph:
             raise EmbeddingError("the rotation system is not genus 0")
 
 
-def _pfaffian(rows):
-    """Pfaffian of a skew-symmetric matrix by exact elimination."""
-    n = len(rows)
-    if n % 2:
-        return ZERO
-    a = [list(r) for r in rows]
-    total = ONE
-    flip = False
-    while n > 0:
-        j = next((k for k in range(1, n) if not a[0][k].is_zero()), None)
-        if j is None:
-            return ZERO
-        if j != 1:
-            a[1], a[j] = a[j], a[1]
-            for row in a:
-                row[1], row[j] = row[j], row[1]
-            flip = not flip
-        p = a[0][1]
-        total = total * p
-        b = []
-        for i in range(2, n):
-            b.append([a[i][k] + (a[1][i] * a[0][k] - a[0][i] * a[1][k]) / p
-                      for k in range(2, n)])
-        a = b
-        n -= 2
+def _pfaffian(rows, one=ONE):
+    """Pfaffian of the skew matrix with sparse rows ``rows[i] = {j: a_ij}``
+    (nonzero entries only; consumed) over the field of ``one``: Q(zeta_8),
+    or Q with ``one=Fraction(1)``.  Each step pivots on the live row with
+    the fewest nonzeros and its sparsest neighbour (minimum degree), inverts
+    the pivot once and applies the rank-2 Schur update only to pairs of rows
+    in the support of the two pivot rows, dropping entries that cancel."""
+    zero, total, flip = one - one, one, False
+    rows = dict(enumerate(rows))  # live rows, in their original order
+    while rows:
+        r = min(rows, key=lambda i: len(rows[i]))
+        if not rows[r]:
+            return zero
+        c = min(rows[r], key=lambda j: len(rows[j]))
+        # moving r, c to the front of the live order flips the sign once per
+        # position passed, and once more if c comes first (a_cr = -a_rc)
+        pr, pc = map(list(rows).index, (r, c))
+        flip ^= (pr + pc + (pr < pc)) % 2 == 1
+        row_r, row_c = rows.pop(r), rows.pop(c)
+        p = row_r.pop(c)
+        del row_c[r]
+        total, inv = total * p, one / p
+        for i in row_r.keys() | row_c.keys():
+            rows[i].pop(r, None)
+            rows[i].pop(c, None)
+        # a_ij += (a_ci a_rj - a_ri a_cj) / p over the pairs i < j
+        for pivot_row, scale in ((row_r, {i: a * inv for i, a in row_c.items()}),
+                                 (row_c, {i: -a * inv for i, a in row_r.items()})):
+            for i, s in scale.items():
+                row_i = rows[i]
+                for j, a in pivot_row.items():
+                    if j > i:
+                        v = row_i.get(j, zero) + s * a
+                        if v:
+                            row_i[j], rows[j][i] = v, -v
+                        else:
+                            del row_i[j], rows[j][i]
     return -total if flip else total
+
+
+def _kasteleyn(m, arcs):
+    """Sparse rows of the m x m skew matrix with a_th += w and a_ht -= w for
+    each arc (t, h, w); entries that sum to zero are left out."""
+    rows = [{} for _ in range(m)]
+    for t, h, w in arcs:
+        rows[t][h] = rows[t].get(h, 0) + w
+        rows[h][t] = rows[h].get(t, 0) - w
+    return [{j: a for j, a in row.items() if a} for row in rows]
 
 
 def _fkt_component(vids, rotation, edges, owner):
@@ -134,41 +158,29 @@ def _fkt_component(vids, rotation, edges, owner):
         return ZERO
     if not edges:
         return ZERO if vids else ONE
-    index = {v: i for i, v in enumerate(sorted(vids, key=repr))}
-    partner = {}
-    edge_of = {}
+    order = sorted(vids, key=repr)
+    partner, edge_of = {}, {}
     for ei, (a, b, _) in enumerate(edges):
-        partner[a] = b
-        partner[b] = a
-        edge_of[a] = ei
-        edge_of[b] = ei
+        partner[a], partner[b] = b, a
+        edge_of[a] = edge_of[b] = ei
     faces = _trace_faces((rotation[v] for v in vids), partner)
-    # spanning tree over edge indices
+    # spanning tree over edge indices (each list in edge order)
     adj = {v: [] for v in vids}
     for ei, (a, b, _) in enumerate(edges):
         adj[owner[a]].append((ei, owner[b]))
         adj[owner[b]].append((ei, owner[a]))
-    root = sorted(vids, key=repr)[0]
-    tree = set()
-    placed = {root}
-    frontier = [root]
+    tree, placed, frontier = set(), {order[0]}, [order[0]]
     while frontier:
-        v = frontier.pop()
-        for ei, w in sorted(adj[v], key=lambda t: t[0]):
+        for ei, w in adj[frontier.pop()]:
             if w not in placed:
                 placed.add(w)
                 tree.add(ei)
                 frontier.append(w)
     # orientation: per edge, the half on the tail side
-    orient = {}
-    for ei in tree:
-        orient[ei] = edges[ei][0]
+    orient = {ei: edges[ei][0] for ei in tree}
     # dual-tree face fixing: every face except the outer root becomes odd
     outer = max(range(len(faces)), key=lambda fi: (len(faces[fi]), -fi))
-    face_of_half = {}
-    for fi, face in enumerate(faces):
-        for h in face:
-            face_of_half[h] = fi
+    face_of_half = {h: fi for fi, face in enumerate(faces) for h in face}
     undecided = [0] * len(faces)
     for ei, (a, b, _) in enumerate(edges):
         if ei not in tree:
@@ -176,47 +188,32 @@ def _fkt_component(vids, rotation, edges, owner):
             undecided[face_of_half[b]] += 1
     queue = [fi for fi in range(len(faces))
              if fi != outer and undecided[fi] == 1]
-    done_faces = set()
+    # the undecided edges form a spanning tree of the dual rooted at the
+    # outer face, so each other face is queued once, as a leaf
     while queue:
         fi = queue.pop()
-        if fi in done_faces:
-            continue
-        done_faces.add(fi)
-        agree = 0
-        pending = None
-        for h in faces[fi]:
-            ei = edge_of[h]
-            if ei in orient:
-                if orient[ei] == h:
-                    agree += 1
-            else:
-                pending = (ei, h)
-        assert pending is not None
-        ei, h = pending
+        # the face's one undecided edge makes its clockwise count odd
+        agree = sum(orient.get(edge_of[h]) == h for h in faces[fi])
+        h = next(h for h in faces[fi] if edge_of[h] not in orient)
+        ei = edge_of[h]
         orient[ei] = h if agree % 2 == 0 else partner[h]
         for half in (edges[ei][0], edges[ei][1]):
             fj = face_of_half[half]
             undecided[fj] -= 1
-            if fj != outer and fj not in done_faces and undecided[fj] == 1:
+            if fj != outer and undecided[fj] == 1:
                 queue.append(fj)
     assert len(orient) == len(edges)
-    # Kasteleyn matrices: actual weights and all-one weights
-    m = len(vids)
-    mat_w = [[ZERO] * m for _ in range(m)]
-    mat_1 = [[ZERO] * m for _ in range(m)]
-    for ei, (a, b, w) in enumerate(edges):
-        tail_half = orient[ei]
-        t = index[owner[tail_half]]
-        h = index[owner[partner[tail_half]]]
-        mat_w[t][h] = mat_w[t][h] + w
-        mat_w[h][t] = mat_w[h][t] - w
-        mat_1[t][h] = mat_1[t][h] + ONE
-        mat_1[h][t] = mat_1[h][t] - ONE
-    pf_1 = _pfaffian(mat_1)
-    if pf_1.is_zero():
+    # the all-ones matrix has Pfaffian +-(number of matchings): the sign
+    # that every matching term of the weighted Pfaffian shares
+    index = {v: i for i, v in enumerate(order)}
+    arcs = [(index[owner[orient[ei]]], index[owner[partner[orient[ei]]]], w)
+            for ei, (_, _, w) in enumerate(edges)]
+    pf_w = _pfaffian(_kasteleyn(len(order), arcs))
+    if not pf_w:
         return ZERO
-    pf_w = _pfaffian(mat_w)
-    return pf_w if pf_1.rational() > 0 else -pf_w
+    pf_1 = _pfaffian(_kasteleyn(len(order), [(t, h, 1) for t, h, _ in arcs]),
+                     Fraction(1))
+    return pf_w if pf_1 > 0 else -pf_w
 
 
 def fkt_count_pm(g):
@@ -225,13 +222,13 @@ def fkt_count_pm(g):
     # self-loops never participate in a perfect matching
     edges = [(a, b, w) for (a, b, w) in g.edges if owner[a] != owner[b]]
     uf = _connect(edges, owner)
-    comps = {}
+    comps = {}  # root -> (vertices, edges) of one component
     for v in g.vertex_ids:
-        comps.setdefault(uf.find(v), []).append(v)
+        comps.setdefault(uf.find(v), ([], []))[0].append(v)
+    for e in edges:
+        comps[uf.find(owner[e[0]])][1].append(e)
     total = ONE
-    for vids in comps.values():
-        vset = set(vids)
-        local = [(a, b, w) for (a, b, w) in edges if owner[a] in vset]
+    for vids, local in comps.values():
         val = _fkt_component(vids, g.rotation, local, owner)
         if val.is_zero():
             return ZERO
@@ -1324,12 +1321,9 @@ def hypergraph_pm(h, cap=None):
         return verdict, eo_geneq_eval(EOInstance(h.holant_grid()))
     if set(sizes) == {2}:
         # ordinary graph: count perfect matchings through FKT
-        edges = []
-        for (he, members) in h.hyperedges:
-            h1, h2 = h.rotation[he]
-            edges.append((h1, h2, ONE))
-        g = WeightedPlanarGraph(h.vertices, h.rotation, edges)
-        return verdict, fkt_count_pm(g)
+        edges = [(*h.rotation[he], ONE) for (he, _) in h.hyperedges]
+        return verdict, fkt_count_pm(
+            WeightedPlanarGraph(h.vertices, h.rotation, edges))
     # PHard sizes, or size-1 hyperedges (planar monomer-dimer): brute force
     try:
         value = h.holant_grid().holant(cap)

@@ -234,6 +234,30 @@ def test_holographic_transform_preserves_value(seed):
         assert t.holant() == base
 
 
+def test_two_stretch_ids_avoid_existing_vertices():
+    once = two_stretch(k4_grid())
+    assert {("eq", ei) for ei in range(6)} <= set(once.vertices)
+    twice = two_stretch(once)
+    new = set(twice.vertices) - set(once.vertices)
+    assert new == ({("eq", ei, 1) for ei in range(6)}
+                   | {("eq", ei) for ei in range(6, 12)})
+    assert all(twice.side[v] == "L" for v in new)
+    assert twice.validate()[1]
+    assert twice.holant() == once.holant() == k4_grid().holant()
+
+
+def test_holographic_transform_shares_each_distinct_signature():
+    g = two_stretch(k4_grid(
+        lambda v: exact_one(3).scale(AN(2)) if v == 4 else exact_one(3)))
+    t = holographic_transform_bipartite(g, Transform2x2(2, 1, 1, 1))
+    left = [t.vertices[v].sig for v in g.vertices if g.side[v] == "L"]
+    right = [t.vertices[v].sig for v in (1, 2, 3)]
+    assert len(left) == 6 and all(f is left[0] for f in left)
+    assert right[1] is right[0] and right[2] is right[0]
+    assert t.vertices[4].sig is not right[0]
+    assert t.holant() == g.holant() == naive_holant(g)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_orthogonal_transform_preserves_value(seed):
     g = simple_random_grid(seed)

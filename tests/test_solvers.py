@@ -2,13 +2,15 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 import planar_holant.solvers as solvers
 from planar_holant.algebra import AN, AlgebraicNumber, I, ONE, ZERO
 from planar_holant.classify import in_A, in_P, in_vanishing_minus, in_vanishing_plus
-from planar_holant.grid import PlanarGrid, StructureError, TooLarge, Vertex
+from planar_holant.grid import (
+    PlanarGrid, StructureError, TooLarge, Vertex, two_stretch)
 from planar_holant.sigcalc import (
     SymmetricSignature,
     Transform2x2,
@@ -212,6 +214,124 @@ def test_weighted_graph_json_round_trip():
     g = random_weighted_graph(3)
     g2 = weighted_graph_from_json(weighted_graph_to_json(g))
     assert fkt_count_pm(g2) == fkt_count_pm(g)
+
+
+def naive_pfaffian(a, zero):
+    """Independent oracle: expansion along the first row."""
+    n = len(a)
+    if n % 2:
+        return zero
+    if n == 0:
+        return zero + 1
+    total = zero
+    for j in range(1, n):
+        if a[0][j]:
+            rest = [k for k in range(1, n) if k != j]
+            minor = [[a[p][q] for q in rest] for p in rest]
+            sign = (-1) ** (j + 1)
+            total = total + sign * a[0][j] * naive_pfaffian(minor, zero)
+    return total
+
+
+def skew(n, entry, density, rnd):
+    """A random skew-symmetric n-by-n matrix as dense rows: each entry above
+    the diagonal is ``entry(rnd)`` with probability ``density``, else 0."""
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rnd.random() < density:
+                a[i][j] = entry(rnd)
+                a[j][i] = -a[i][j]
+    return a
+
+
+def sparse_rows(a):
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def an_entry(rnd):
+    return AlgebraicNumber(*(rnd.randint(-2, 2) for _ in range(4)))
+
+
+def int_entry(rnd):
+    return rnd.choice([-3, -2, -1, 1, 2, 3])
+
+
+def skew_cases():
+    """(label, matrix over Q(zeta_8)) of orders 0-8: random ones of several
+    densities, ones whose a_01 is zero (the first row needs a pivot
+    search), and rank-2 ones, singular from order 4 on."""
+    cases = []
+    for n in range(9):
+        for seed in range(6):
+            rnd = random.Random("pf-%d-%d" % (n, seed))
+            cases.append(("random-%d-%d" % (n, seed),
+                          skew(n, an_entry, (0.3, 0.6, 1.0)[seed % 3], rnd)))
+            if n >= 2:
+                a = skew(n, an_entry, 0.7, rnd)
+                a[0][1] = a[1][0] = ZERO
+                cases.append(("a01-zero-%d-%d" % (n, seed), a))
+                u = [an_entry(rnd) for _ in range(n)]
+                v = [an_entry(rnd) for _ in range(n)]
+                cases.append(("rank2-%d-%d" % (n, seed),
+                              [[u[i] * v[j] - v[i] * u[j] for j in range(n)]
+                               for i in range(n)]))
+    return [(label, [[AN(x) for x in row] for row in a])
+            for label, a in cases]
+
+
+@pytest.mark.parametrize("label,a", [pytest.param(label, a, id=label)
+                                     for label, a in skew_cases()])
+def test_pfaffian_matches_expansion(label, a):
+    assert solvers._pfaffian(sparse_rows(a)) == naive_pfaffian(a, ZERO)
+    # the integer sign path on the same support
+    rnd = random.Random(label)
+    b = [[0] * len(a) for _ in a]
+    for i, row in enumerate(a):
+        for j in range(i + 1, len(a)):
+            if row[j]:
+                b[i][j] = int_entry(rnd)
+                b[j][i] = -b[i][j]
+    assert solvers._pfaffian(sparse_rows(b), Fraction(1)) == naive_pfaffian(b, 0)
+
+
+def test_pfaffian_zero_and_singular_cases():
+    assert solvers._pfaffian([]) == ONE
+    assert solvers._pfaffian([{}, {}]) == ZERO
+    # odd order; then a zero row with nonzero rows around it
+    assert solvers._pfaffian([{1: ONE}, {0: -ONE}, {}]) == ZERO
+    rows = [{1: ONE}, {0: -ONE}, {}, {4: I}, {3: -I}, {}]
+    assert solvers._pfaffian(rows) == ZERO
+    # an order-4 matrix with a_01 = 0: Pf = -a_02 a_13 + a_03 a_12
+    a = [[0, 0, 2, 3], [0, 0, 5, 7], [-2, -5, 0, 0], [-3, -7, 0, 0]]
+    assert solvers._pfaffian(sparse_rows(a), Fraction(1)) == -2 * 7 + 3 * 5
+    # an entry that cancels: pivoting on a_01 turns a_23 into
+    # 1 + (a_12 a_03 - a_02 a_13) / a_01 = 0, so Pf = 1 - 3 + 2 = 0
+    a = [[0, 1, 1, 2], [-1, 0, 1, 3], [-1, -1, 0, 1], [-2, -3, -1, 0]]
+    assert solvers._pfaffian(sparse_rows(a), Fraction(1)) == 0
+    assert naive_pfaffian(a, 0) == 0
+
+
+@pytest.mark.parametrize("n,count", [(6, 6728), (8, 12988816),
+                                     (10, 258584046368)])
+def test_fkt_larger_grid_graphs(n, count):
+    assert fkt_count_pm(grid_graph(n)) == AN(count)
+
+
+def test_fkt_cancelling_and_unmatchable():
+    # a 4-cycle weighted 1, 1, 1, -1: matchings {01, 23} and {12, 30}
+    # weigh 1 and -1
+    rot = {0: ["0a", "0b"], 1: ["1a", "1b"], 2: ["2a", "2b"],
+           3: ["3a", "3b"]}
+    edges = [("0a", "1b", ONE), ("1a", "2b", ONE), ("2a", "3b", ONE),
+             ("3a", "0b", -ONE)]
+    g = WeightedPlanarGraph([0, 1, 2, 3], rot, edges)
+    assert fkt_count_pm(g) == ZERO == brute_pm(g)
+    # K_{1,3}: four vertices and no perfect matching
+    rot = {"c": ["c1", "c2", "c3"], 1: ["l1"], 2: ["l2"], 3: ["l3"]}
+    edges = [("c%d" % k, "l%d" % k, ONE) for k in (1, 2, 3)]
+    g = WeightedPlanarGraph(["c", 1, 2, 3], rot, edges)
+    assert fkt_count_pm(g) == ZERO == brute_pm(g)
 
 
 # ---------------------------------------------------------------------------
@@ -1153,6 +1273,13 @@ def test_evaluate_auto_vanishing(seed):
 def test_evaluate_weighted_exact_one():
     g = k4_grid(lambda v: exact_one(3).scale(AN(v)))
     assert evaluate(g) == naive_holant(g)
+
+
+def test_evaluate_stretched_grid():
+    # the routes stretch again: the new equalities must not reuse the ids
+    # of the equalities already there
+    g = k4_grid(lambda v: exact_one(3).scale(AN(v)))
+    assert evaluate(two_stretch(g)) == evaluate(g) == naive_holant(g)
 
 
 def z_wheel_grid(scale5=1, scale3=1):
