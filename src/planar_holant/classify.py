@@ -8,8 +8,10 @@ The classes come in three layers:
   (``in_matchgate``) and its two basis changes (``in_Mhat``,
   ``in_MhatDagger``); ``product_form`` and ``affine_form`` return the form
   behind ``in_P`` and ``in_A``, which is what the solvers fold;
-* vanishing-side classes read off in the Z basis: ``in_vanishing_*``,
-  ``in_M4``, ``in_P2``, ``in_ZP``;
+* Z-side classes, read off the Z image ``f.zhat()`` that each signature
+  computes once and keeps: ``in_M4``, ``in_P2`` and the vanishing classes
+  ``in_vanishing_*`` / ``in_R2`` are patterns of the image's support (its
+  nonzero indices), and ``in_ZP`` / ``in_MhatDagger`` test the image itself;
 * one-signature transformable families P1 / A1 / A3 / M1 / M2 / M3,
   decided square-root-free from a tensor decomposition via the bilinear
   pairing <u, v> = u0 v0 + u1 v1 and the squared ratio beta^2.
@@ -33,7 +35,6 @@ from .sigcalc import (
     Z,
     Z_INV,
     _degenerate_form,
-    all_but_one,
     diag,
     equality,
     exact_one,
@@ -41,7 +42,6 @@ from .sigcalc import (
     row_transform,
     tensor_decompose,
     transform,
-    vanishing_degrees,
 )
 
 ZETA_INV = ZETA.inv()
@@ -71,11 +71,6 @@ def _is_diseq(f):
     """f = [0, c, 0] with c nonzero: a weighted binary disequality."""
     return (f.arity == 2 and f[0].is_zero() and f[2].is_zero()
             and not f[1].is_zero())
-
-
-def zhat(f):
-    """The signature read in the Z basis: (Z^-1)^{tensor n} f."""
-    return transform(Z_INV, f)
 
 
 def is_degenerate(f):
@@ -219,24 +214,24 @@ def in_Mhat(f):
 
 
 def in_MhatDagger(f):
-    return in_matchgate(zhat(f))
+    return in_matchgate(f.zhat())
 
 
 def in_ZP(f):
-    return in_P(zhat(f))
+    return in_P(f.zhat())
 
 
 in_ZM = in_MhatDagger  # Mhat-dagger is the Z image of the matchgates
 
 
-# -- Z-side classes -----------------------------------------------------------
+# -- Z-side classes: support patterns of the Z image ---------------------------
 
 def in_M4_plus(f):
-    return f.arity >= 1 and zhat(f).proportional_to(exact_one(f.arity))
+    return f.zhat().support() == (1,)
 
 
 def in_M4_minus(f):
-    return f.arity >= 1 and zhat(f).proportional_to(all_but_one(f.arity))
+    return f.zhat().support() == (f.arity - 1,)
 
 
 def in_M4(f):
@@ -245,23 +240,21 @@ def in_M4(f):
 
 def in_P2(f):
     """Weighted equality in the Z basis, both weights nonzero."""
-    return f.arity >= 2 and _geneq_weights(zhat(f)) is not None
+    return f.arity >= 2 and f.zhat().support() == (0, f.arity)
 
 
 def in_vanishing_plus(f):
-    rdp, vdp, _, _ = vanishing_degrees(f)
-    return 2 * vdp > f.arity
+    return all(2 * k < f.arity for k in f.zhat().support())
 
 
 def in_vanishing_minus(f):
-    _, _, rdm, vdm = vanishing_degrees(f)
-    return 2 * vdm > f.arity
+    return all(2 * k > f.arity for k in f.zhat().support())
 
 
 def in_R2(f, sigma):
     """f lies in R_2^sigma iff its sigma-side recurrence degree is at most 1."""
-    rdp, _, rdm, _ = vanishing_degrees(f)
-    return (rdp if sigma == "+" else rdm) <= 1
+    s = f.zhat().support()
+    return all(k <= 1 if sigma == "+" else k >= f.arity - 1 for k in s)
 
 
 # -- transformable families ----------------------------------------------------
@@ -455,7 +448,7 @@ def a_transformable(F):
             for g in F:
                 if g.is_zero() or not in_P2(g):
                     continue
-                a, b = _geneq_weights(zhat(g))
+                a, b = g.zhat()[0], g.zhat()[-1]
                 for r in range(4):
                     for target in (b / a * I ** r, a / b * I ** r):
                         deltas.extend(nth_roots_in_field(target, g.arity))
@@ -510,7 +503,7 @@ def m_transformable(F):
             if s is not None and not s.is_zero():
                 kappas.extend([s, -s])
         elif in_P2(f):
-            a, b = _geneq_weights(zhat(f))
+            a, b = f.zhat()[0], f.zhat()[-1]
             kappas.extend(nth_roots_in_field(a / b, f.arity))
             kappas.extend(nth_roots_in_field(-(a / b), f.arity))
     for kappa in kappas:
@@ -632,6 +625,10 @@ def dichotomy_single(f):
         if ok:
             return SetVerdict("single", True, case=name,
                               witness=fam.witness.get(name))
+    if in_matchgate(f):
+        # e.g. [1, 0, 3, 0, 9], whose decomposition leaves the field
+        return SetVerdict("single", True, case="matchgate",
+                          witness=Witness(identity2(), f))
     return SetVerdict(
         "single", False, caveat=fam.caveat,
         obstruction="not in P1, M2, A3, M3, M4, or a vanishing class")
@@ -652,7 +649,17 @@ ROUTE_M = ("M-transformable (case 6)", m_transformable)
 
 
 def dichotomy_plholant_set(F):
-    """The full dichotomy for a finite set of symmetric signatures."""
+    """The full dichotomy for a finite set of symmetric signatures.  Matchgate
+    sets such as {[1, 0, 3, 0, 9]}, whose decomposition leaves the field, are
+    M-transformable with T = I."""
+    verdict = _plholant_verdict(F)
+    if not verdict.tractable and all(in_matchgate(f) for f in F if f.arity):
+        return SetVerdict("plholant", True, case=ROUTE_M[0],
+                          witness=identity2())
+    return verdict
+
+
+def _plholant_verdict(F):
     # a nonzero constant (arity 0) only scales the Holant
     sigs = [f for f in F if f.arity and not f.is_zero()]
     nd3 = [f for f in sigs if f.arity >= 3 and not is_degenerate(f)]
@@ -740,15 +747,14 @@ def dichotomy_plholant_set(F):
                                   case="all non-degenerate in R2^%s (case 5)"
                                        % sigma)
             for h in offenders:
-                if _geneq_weights(zhat(h)) is None:
+                if h.zhat().support() != (0, 2):
                     return SetVerdict(
                         "plholant", False,
                         obstruction="binary %r is incompatible with the "
                                     "matching side" % h)
         else:
             for h in binaries:
-                hh = zhat(h)
-                if _geneq_weights(hh) is None and not _is_diseq(hh):
+                if h.zhat().support() not in ((0, 2), (1,)):
                     return SetVerdict(
                         "plholant", False,
                         obstruction="binary %r is incompatible with mixed "

@@ -1,14 +1,18 @@
 """Symmetric-signature calculus.
 
 A symmetric signature of arity n is the list [f_0, ..., f_n] of values by
-input Hamming weight.  This module provides the derivative/integral
-calculus, holographic transforms T^{tensor n}, second-order recurrence
-analysis, vanishing degrees in the Z basis, arity-4 signature matrices,
-and exact two-term tensor decompositions.
+input Hamming weight; it carries its Z image (Z^-1)^{tensor n} f, made on
+first use by ``zhat()``, whose ``support()`` (nonzero indices) decides the
+Z-side classes.  This module provides the derivative/integral calculus,
+holographic transforms T^{tensor n}, second-order recurrence analysis,
+vanishing degrees, arity-4 signature matrices, and exact two-term tensor
+decompositions.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
+from operator import mul
 
 from .algebra import AN, AlgebraicNumber, ONE, ZERO, I, sqrt_in_field
 
@@ -18,13 +22,14 @@ class ArityError(ValueError):
 
 
 class SymmetricSignature:
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_zhat")
 
     def __init__(self, entries):
         es = tuple(AN(e) for e in entries)
         if not es:
             raise ArityError("a signature needs at least one entry")
         self.entries = es
+        self._zhat = None
 
     @property
     def arity(self):
@@ -66,21 +71,16 @@ class SymmetricSignature:
     def reversed(self):
         return SymmetricSignature(self.entries[::-1])
 
-    def proportional_to(self, other):
-        """True when self = c * other for some nonzero c (both nonzero)."""
-        if self.arity != other.arity or self.is_zero() or other.is_zero():
-            return False
-        c = None
-        for a, b in zip(self.entries, other.entries):
-            if b.is_zero() != a.is_zero():
-                return False
-            if not b.is_zero():
-                r = a / b
-                if c is None:
-                    c = r
-                elif r != c:
-                    return False
-        return True
+    def support(self):
+        """The indices k with f_k != 0, in increasing order."""
+        return tuple(k for k, e in enumerate(self.entries) if not e.is_zero())
+
+    def zhat(self):
+        """The signature read in the Z basis, (Z^-1)^{tensor n} f, computed
+        on first use and kept with the signature."""
+        if self._zhat is None:
+            self._zhat = transform(Z_INV, self)
+        return self._zhat
 
 
 def sig(entries):
@@ -218,29 +218,25 @@ def transform(T, f):
 
     Pinned by transform(T, u^{tensor n}) = (T u)^{tensor n}.  Entry m is
     read off the assignment 1^m 0^{n-m} using binomial sums, O(n^2) field
-    products per entry.
+    products per entry over one table of the powers of T's entries.
     """
     n = f.arity
+    p00, p01, p10, p11 = (list(accumulate([x] * n, mul, initial=ONE))
+                          for x in (T.t00, T.t01, T.t10, T.t11))
     out = []
     for m in range(n + 1):
+        cls = [AN(comb(n - m, l)) * p00[n - m - l] * p01[l]
+               for l in range(n - m + 1)]
         acc = ZERO
         for j in range(m + 1):
-            cj = AN(comb(m, j)) * self_pow(T.t10, m - j) * self_pow(T.t11, j)
+            cj = AN(comb(m, j)) * p10[m - j] * p11[j]
             if cj.is_zero():
                 continue
-            for l in range(n - m + 1):
-                cl = AN(comb(n - m, l)) * self_pow(T.t00, n - m - l) * self_pow(T.t01, l)
-                if cl.is_zero():
-                    continue
-                acc = acc + cj * cl * f[j + l]
+            for l, cl in enumerate(cls):
+                if not cl.is_zero():
+                    acc = acc + cj * cl * f[j + l]
         out.append(acc)
     return SymmetricSignature(out)
-
-
-def self_pow(x, e):
-    if e == 0:
-        return ONE
-    return x ** e
 
 
 def row_transform(f, T):
@@ -366,12 +362,10 @@ def recurrence_analysis(f):
 def vanishing_degrees(f):
     """(rd+, vd+, rd-, vd-) via the Z basis; rd = -1, vd = n+1 for f = 0."""
     n = f.arity
-    fhat = transform(Z_INV, f)
-    nz = [k for k in range(n + 1) if not fhat[k].is_zero()]
+    nz = f.zhat().support()
     if not nz:
         return (-1, n + 1, -1, n + 1)
-    rdp = nz[-1]
-    rdm = n - nz[0]
+    rdp, rdm = nz[-1], n - nz[0]
     return (rdp, n - rdp, rdm, n - rdm)
 
 
@@ -533,9 +527,9 @@ def _solve_double(f, u):
     n = f.arity
     u0, u1 = u
     # coefficients of v0 and v1 in each entry
-    a = [AN(n - k) * self_pow(u0, n - k - 1) * self_pow(u1, k) if k <= n - 1 else ZERO
+    a = [AN(n - k) * u0 ** (n - k - 1) * u1 ** k if k <= n - 1 else ZERO
          for k in range(n + 1)]
-    b = [AN(k) * self_pow(u1, k - 1) * self_pow(u0, n - k) if k >= 1 else ZERO
+    b = [AN(k) * u1 ** (k - 1) * u0 ** (n - k) if k >= 1 else ZERO
          for k in range(n + 1)]
     return _solve_pair(f, a, b, lambda v0, v1: sym_n_n1(u, (v0, v1), n))
 

@@ -56,7 +56,6 @@ from .sigcalc import (
     all_but_one,
     diseq2,
     equality,
-    exact_one,
 )
 
 
@@ -584,11 +583,11 @@ class EOInstance:
             if c0.is_zero() or c1.is_zero():
                 return [("pin", (c0, c1), 1)]
             raise ClassError("unary %r is neither pin nor splittable" % f)
-        if f.arity and f.proportional_to(exact_one(f.arity)):
+        if f.support() == (1,):
             if f.arity >= 3:
                 self.exact_ones.append(f)
             return [("eo", f[1], width)]
-        if f.arity >= 3 and f.proportional_to(all_but_one(f.arity)):
+        if f.arity >= 3 and f.support() == (f.arity - 1,):
             self.reversed_ones.append(f)
             return [("rev", f[f.arity - 1], width)]
         form = product_form(f)
@@ -1361,7 +1360,7 @@ def _fkt_route(grid):
         if not v.sig.arity:  # a constant only scales the count
             scalar = scalar * v.sig[0]
             continue
-        if not v.sig.proportional_to(exact_one(v.sig.arity)):
+        if v.sig.support() != (1,):
             raise ClassError("%r is not an exact-one signature" % v.sig)
         scalar = scalar * v.sig[1]
         rotation[vid] = list(v.rotation)
@@ -1419,7 +1418,7 @@ def evaluate(grid, method="auto", cap=None):
     if all(in_vanishing_plus(f) for f in sigs) or \
             all(in_vanishing_minus(f) for f in sigs):
         return ZERO
-    if all(f.proportional_to(exact_one(f.arity)) for f in sigs):
+    if all(f.support() == (1,) for f in sigs):
         return _fkt_route(grid)
     verdict = dichotomy_plholant_set(sigs)
     if verdict.tractable:

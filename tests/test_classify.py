@@ -15,6 +15,7 @@ from planar_holant.sigcalc import (
     equality,
     exact_one,
     gen_eq,
+    identity2,
     sig,
     transform,
 )
@@ -377,3 +378,33 @@ def test_constant_signature_leaves_the_set_verdict_unchanged():
         with_c = dichotomy_plholant_set(F + [c])
         assert (with_c.tractable, with_c.case, with_c.obstruction) == \
             (plain.tractable, plain.case, plain.obstruction)
+
+
+# -- rational matchgates ----------------------------------------------------------
+
+def rational_matchgate(rnd, n):
+    """An even matchgate [v, 0, v r, 0, v r^2, ...] whose ratio r is not a
+    square in the field, so its tensor decomposition leaves the field."""
+    r, v = AN(rnd.choice([3, 5, 6, 7])), rand_nonzero(rnd)
+    return sig([v * r ** (k // 2) if k % 2 == 0 else 0 for k in range(n + 1)])
+
+
+def test_rational_matchgates_are_tractable_by_fkt():
+    rnd = random.Random(11)
+    sigs = [sig([1, 0, 3, 0, 9]), sig([1, 0, 5, 0, 25, 0, 125])]
+    sigs += [rational_matchgate(rnd, n) for n in (4, 6, 8) for _ in range(3)]
+    for f in sigs:
+        assert in_matchgate(f)
+        v = dichotomy_plholant_set([f])
+        assert (v.tractable, v.case, v.caveat) == \
+            (True, "M-transformable (case 6)", False), f
+        assert v.witness == identity2()
+        s = dichotomy_single(f)
+        assert (s.tractable, s.case, s.caveat) == (True, "matchgate", False)
+        assert s.witness.transform == identity2() and s.witness.verify(f)
+
+
+def test_matchgate_with_a_non_matchgate_binary_stays_hard():
+    F = [sig([1, 0, 3, 0, 9]), sig([1, 1, 2])]
+    assert not in_matchgate(F[1])
+    assert not dichotomy_plholant_set(F).tractable

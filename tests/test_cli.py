@@ -399,3 +399,13 @@ def test_stretched_grid_round_trips_through_json(tmp_path, capsys):
         code, out = run_cli(capsys, ["eval", "--method", method, path])
         assert code == 0
         assert AN(out["value"]) == naive_holant(grid)
+
+
+def test_classify_rational_matchgate_is_tractable(tmp_path, capsys):
+    path = write_doc(tmp_path, {"signatures": {"f": ["1", "0", "3", "0", "9"]}})
+    code, doc = run_cli(capsys, ["classify", path])
+    assert code == 0
+    assert doc["verdict"] == {
+        "framework": "plholant", "tractable": True,
+        "case": "M-transformable (case 6)", "obstruction": None,
+        "witness": {"transform": [["1", "0"], ["0", "1"]]}, "caveat": False}
