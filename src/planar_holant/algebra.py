@@ -5,10 +5,16 @@ coefficients and z = zeta_8 = e^{i*pi/4}, so z^4 = -1.  In particular
 i = z^2 and sqrt(2) = z - z^3, which covers every constant the signature
 theory needs (all 8th roots of unity, alpha = sqrt(i) = z) while keeping
 equality decidable.
+
+A scalar is stored as four integer numerators over one common denominator,
+(n0 + n1*z + n2*z^2 + n3*z^3) / d, in canonical form: d > 0 and
+gcd(n0, n1, n2, n3, d) == 1.  Equal values therefore have equal slots and
+equal hashes, and each operation is integer arithmetic followed by at most
+one gcd, with no Fraction in between.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -21,21 +27,62 @@ class ParseError(ValueError):
         self.position = position
 
 
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError("rational coefficient expected, got %r" % (x,))
+_new = object.__new__
+
+
+def _raw(num, den):
+    """An AlgebraicNumber with these slots, which must already be canonical."""
+    x = _new(AlgebraicNumber)
+    x.num = num
+    x.den = den
+    return x
+
+
+def _make(n0, n1, n2, n3, d):
+    """The canonical form of (n0 + n1*z + n2*z^2 + n3*z^3) / d, d != 0."""
+    if d != 1:
+        if d < 0:
+            n0, n1, n2, n3, d = -n0, -n1, -n2, -n3, -d
+        g = gcd(n0, n1, n2, n3, d)
+        if g != 1:
+            n0, n1, n2, n3, d = n0 // g, n1 // g, n2 // g, n3 // g, d // g
+    x = _new(AlgebraicNumber)
+    x.num = (n0, n1, n2, n3)
+    x.den = d
+    return x
+
+
+def _product(a0, a1, a2, a3, b0, b1, b2, b3):
+    """Numerators of (a0 + a1 z + a2 z^2 + a3 z^3)(b0 + b1 z + b2 z^2 + b3 z^3)
+    reduced by z^4 = -1."""
+    return (a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+            a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+            a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
 
 
 class AlgebraicNumber:
-    """An element of Q(zeta_8), stored as four rationals (canonical form)."""
+    """An element of Q(zeta_8): the integer numerators ``num`` =
+    (n0, n1, n2, n3) over the integer denominator ``den``, in canonical form
+    (den > 0, gcd(n0, n1, n2, n3, den) == 1).  Instances are not mutated."""
 
-    __slots__ = ("c",)
+    __slots__ = ("num", "den")
 
     def __init__(self, c0=0, c1=0, c2=0, c3=0):
-        self.c = (_frac(c0), _frac(c1), _frac(c2), _frac(c3))
+        cs = (c0, c1, c2, c3)
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError("rational coefficient expected, got %r" % (c,))
+        # over the lcm of lowest-terms denominators the gcd is already 1
+        d = lcm(*(c.denominator for c in cs))
+        self.num = tuple(c.numerator * (d // c.denominator) for c in cs)
+        self.den = d
+
+    @property
+    def c(self):
+        """The four coefficients c0..c3 as Fractions."""
+        d = self.den
+        return tuple(Fraction(n, d) for n in self.num)
 
     # -- ring structure ------------------------------------------------
 
@@ -44,20 +91,26 @@ class AlgebraicNumber:
         if isinstance(x, AlgebraicNumber):
             return x
         if isinstance(x, (int, Fraction)):
-            return AlgebraicNumber(x)
+            return _raw((int(x.numerator), 0, 0, 0), x.denominator)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.c, o.c
-        return AlgebraicNumber(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+        if type(other) is not AlgebraicNumber:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        (a0, a1, a2, a3), da = self.num, self.den
+        (b0, b1, b2, b3), db = other.num, other.den
+        if da == db:
+            return _make(a0 + b0, a1 + b1, a2 + b2, a3 + b3, da)
+        return _make(a0 * db + b0 * da, a1 * db + b1 * da,
+                     a2 * db + b2 * da, a3 * db + b3 * da, da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraicNumber(-self.c[0], -self.c[1], -self.c[2], -self.c[3])
+        n0, n1, n2, n3 = self.num
+        return _raw((-n0, -n1, -n2, -n3), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -72,41 +125,27 @@ class AlgebraicNumber:
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.c, o.c
-        # polynomial product reduced by z^4 = -1
-        out = [Fraction(0)] * 4
-        for ia in range(4):
-            if not a[ia]:
-                continue
-            for ib in range(4):
-                if not b[ib]:
-                    continue
-                k = ia + ib
-                v = a[ia] * b[ib]
-                if k >= 4:
-                    out[k - 4] -= v
-                else:
-                    out[k] += v
-        return AlgebraicNumber(*out)
+        if type(other) is not AlgebraicNumber:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        n0, n1, n2, n3 = _product(*self.num, *other.num)
+        return _make(n0, n1, n2, n3, self.den * other.den)
 
     __rmul__ = __mul__
 
     def galois(self, k):
         """The automorphism z -> z^k for odd k."""
         assert k % 2 == 1
-        out = [Fraction(0)] * 4
-        out[0] = self.c[0]
-        for j in range(1, 4):
-            e = (j * k) % 8
-            v = self.c[j]
-            if e >= 4:
-                out[e - 4] -= v
-            else:
-                out[e] += v
-        return AlgebraicNumber(*out)
+        k %= 8
+        if k == 1:
+            return self
+        n0, n1, n2, n3 = self.num
+        if k == 3:
+            return _raw((n0, n3, -n2, n1), self.den)
+        if k == 5:
+            return _raw((n0, -n1, n2, -n3), self.den)
+        return _raw((n0, -n3, -n2, -n1), self.den)
 
     def conj(self):
         """Complex conjugation: z -> z^7 = -z^3."""
@@ -115,12 +154,15 @@ class AlgebraicNumber:
     def inv(self):
         if self.is_zero():
             raise DivisionByZero("division by zero in Q(zeta_8)")
-        # product of the three nontrivial Galois conjugates; self * p is
-        # the rational field norm
-        p = self.galois(3) * self.galois(5) * self.galois(7)
-        n = (self * p).c
-        assert n[1] == n[2] == n[3] == 0
-        return AlgebraicNumber(p.c[0] / n[0], p.c[1] / n[0], p.c[2] / n[0], p.c[3] / n[0])
+        # p = sigma_3(x) sigma_5(x) sigma_7(x) on the numerators (over den^3);
+        # x * p is the rational field norm (over den^4)
+        n0, n1, n2, n3 = self.num
+        p = _product(*_product(n0, n3, -n2, n1, n0, -n1, n2, -n3),
+                     n0, -n3, -n2, -n1)
+        norm = _product(n0, n1, n2, n3, *p)
+        assert norm[1] == norm[2] == norm[3] == 0
+        d = self.den
+        return _make(p[0] * d, p[1] * d, p[2] * d, p[3] * d, norm[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -139,7 +181,7 @@ class AlgebraicNumber:
             return NotImplemented
         if e < 0:
             return self.inv() ** (-e)
-        r = AlgebraicNumber(1)
+        r = ONE
         b = self
         while e:
             if e & 1:
@@ -149,16 +191,17 @@ class AlgebraicNumber:
         return r
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.c == o.c
+        if type(other) is not AlgebraicNumber:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.den == other.den and self.num == other.num
 
     def __ne__(self, other):
         return not self == other
 
     def __hash__(self):
-        return hash(self.c)
+        return hash((self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -172,36 +215,40 @@ class AlgebraicNumber:
     # -- predicates ----------------------------------------------------
 
     def is_zero(self):
-        return self.c == (0, 0, 0, 0)
+        return self.num == (0, 0, 0, 0)
 
     def is_rational(self):
-        return self.c[1] == 0 and self.c[2] == 0 and self.c[3] == 0
+        return self.num[1:] == (0, 0, 0)
 
     def rational(self):
         assert self.is_rational()
-        return self.c[0]
+        return Fraction(self.num[0], self.den)
 
     def norm_sq(self):
         return self * self.conj()
 
+    def _equals(self, *num):
+        """x == num[0] + num[1]*z + num[2]*z^2 + num[3]*z^3 for ints num."""
+        return self.den == 1 and self.num == num
+
     def is_fourth_root(self):
         """x^4 = 1, i.e. x is a power of i."""
-        return (self ** 4).c == (1, 0, 0, 0)
+        return (self ** 4)._equals(1, 0, 0, 0)
 
     def is_odd_alpha_power(self):
         """x^4 = -1, i.e. x is an odd power of zeta_8."""
-        return (self ** 4).c == (-1, 0, 0, 0)
+        return (self ** 4)._equals(-1, 0, 0, 0)
 
     def is_eighth_root(self):
-        return (self ** 8).c == (1, 0, 0, 0)
+        return (self ** 8)._equals(1, 0, 0, 0)
 
     def square_is_pm_one(self):
-        s = (self * self).c
-        return s == (1, 0, 0, 0) or s == (-1, 0, 0, 0)
+        s = self * self
+        return s._equals(1, 0, 0, 0) or s._equals(-1, 0, 0, 0)
 
     def square_is_pm_i(self):
-        s = (self * self).c
-        return s == (0, 0, 1, 0) or s == (0, 0, -1, 0)
+        s = self * self
+        return s._equals(0, 0, 1, 0) or s._equals(0, 0, -1, 0)
 
 
 ZERO = AlgebraicNumber(0)
@@ -214,13 +261,12 @@ SQRT2 = AlgebraicNumber(0, 1, 0, -1)  # sqrt(2) = zeta - zeta^3
 
 def AN(x):
     """Coerce an int/Fraction/str/AlgebraicNumber to an AlgebraicNumber."""
-    if isinstance(x, AlgebraicNumber):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return AlgebraicNumber(x)
     if isinstance(x, str):
         return parse_scalar(x)
-    raise TypeError("cannot make an AlgebraicNumber from %r" % (x,))
+    y = AlgebraicNumber._coerce(x)
+    if y is None:
+        raise TypeError("cannot make an AlgebraicNumber from %r" % (x,))
+    return y
 
 
 # -- square roots -------------------------------------------------------
@@ -263,10 +309,10 @@ def _sqrt_gauss(a, b):
 def sqrt_in_field(x):
     """A y with y*y = x, or None when no such y exists in Q(zeta_8)."""
     x = AN(x)
-    c0, c1, c2, c3 = x.c
+    (n0, n1, n2, n3), d = x.num, x.den
     # x = A + B*sqrt(2), A = c0 + c2*i, B = (c1-c3)/2 + (c1+c3)/2*i
-    A = (c0, c2)
-    B = ((c1 - c3) / 2, (c1 + c3) / 2)
+    A = (Fraction(n0, d), Fraction(n2, d))
+    B = (Fraction(n1 - n3, 2 * d), Fraction(n1 + n3, 2 * d))
 
     def gauss_to_an(g, times_sqrt2):
         c, d = g
@@ -340,8 +386,8 @@ def parse_scalar(text):
             den = parse_int()
             if den == 0:
                 raise ParseError("zero denominator", pos)
-            return Fraction(num, den)
-        return Fraction(num)
+            return num, den
+        return num, 1
 
     def parse_power():
         # exponent after a 'w', defaults to 1
@@ -352,14 +398,22 @@ def parse_scalar(text):
             return parse_int()
         return 1
 
-    def add_zeta_power(acc, coef, e):
+    # the value is acc / den, with acc the numerators of 1, w, w^2, w^3
+    acc = [0, 0, 0, 0]
+    den = 1
+
+    def add_zeta_power(p, q, e):
+        # acc / den += (p / q) * w^e
+        nonlocal den
         e %= 8
         if e >= 4:
-            coef, e = -coef, e - 4
-        acc[e] += coef
-        return acc
+            p, e = -p, e - 4
+        if den % q:
+            m = lcm(den, q)
+            acc[:] = [a * (m // den) for a in acc]
+            den = m
+        acc[e] += p * (den // q)
 
-    acc = [Fraction(0)] * 4
     skip_ws()
     if pos >= n:
         raise ParseError("empty scalar", pos)
@@ -384,13 +438,14 @@ def parse_scalar(text):
         ch = text[pos]
         if ch == "i":
             pos += 1
-            add_zeta_power(acc, Fraction(sign), 2)
+            add_zeta_power(sign, 1, 2)
         elif ch == "w":
             pos += 1
             skip_ws()
-            add_zeta_power(acc, Fraction(sign), parse_power())
+            add_zeta_power(sign, 1, parse_power())
         elif ch.isdigit():
-            coef = sign * parse_rat()
+            p, q = parse_rat()
+            p *= sign
             skip_ws()
             if pos < n and text[pos] == "*":
                 pos += 1
@@ -399,30 +454,31 @@ def parse_scalar(text):
                     raise ParseError("'w' expected after '*'", pos)
                 pos += 1
                 skip_ws()
-                add_zeta_power(acc, coef, parse_power())
+                add_zeta_power(p, q, parse_power())
             else:
-                acc[0] += coef
+                add_zeta_power(p, q, 0)
         else:
             raise ParseError("unexpected character %r" % ch, pos)
         skip_ws()
         if pos < n and text[pos] not in "+-":
             raise ParseError("unexpected character %r" % text[pos], pos)
-    return AlgebraicNumber(*acc)
+    return _make(*acc, den)
 
 
 def format_scalar(x):
     x = AN(x)
+    d = x.den
     parts = []
-    for k in range(4):
-        v = x.c[k]
+    for k, v in enumerate(x.num):
         if v == 0:
             continue
-        mag = abs(v)
+        g = gcd(v, d)
+        mag = "%d" % (abs(v) // g) if g == d else "%d/%d" % (abs(v) // g, d // g)
         if k == 0:
-            body = str(mag)
+            body = mag
         else:
             sym = "w" if k == 1 else "w^%d" % k
-            body = sym if mag == 1 else "%s*%s" % (mag, sym)
+            body = sym if mag == "1" else "%s*%s" % (mag, sym)
         if not parts:
             parts.append(body if v > 0 else "-" + body)
         else:

@@ -825,7 +825,11 @@ def hypergraph_verdict(S):
     sizes = list(S)
     if not sizes:
         raise ValueError("the size multiset must be nonempty")
-    t = gcd(*map(int, sizes))
+    for k in sizes:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise ValueError("a hyperedge size must be an integer >= 1, "
+                             "got %r" % (k,))
+    t = gcd(*sizes)
     if t >= 5 or set(sizes) <= {1, 2}:
         return SetVerdict("hpm", True, case="gcd %d" % t)
     return SetVerdict("hpm", False,

@@ -19,7 +19,8 @@ from .sigcalc import (
     vanishing_degrees, tensor_decompose, Z,
 )
 from .grid import (
-    PlanarGrid, Vertex, TooLarge, grid_from_json, grid_to_json,
+    PlanarGrid, Vertex, TooLarge, _signatures_from_json, grid_from_json,
+    grid_to_json,
     holographic_transform_bipartite, orthogonal_transform,
 )
 from .classify import (
@@ -114,8 +115,7 @@ def cmd_classify(args):
         verdict = hypergraph_verdict(sizes)
         emit({"sizes": sorted(sizes), "verdict": verdict_json(verdict)})
         return EXIT_OK
-    sigs = {name: sig_from_doc(entries)
-            for name, entries in doc["signatures"].items()}
+    sigs = _signatures_from_json(doc)
     per_sig = {}
     for name, f in sigs.items():
         table = dict(classify_signature(f))

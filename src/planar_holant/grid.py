@@ -453,9 +453,24 @@ def orthogonal_transform(grid, T):
 
 # -- JSON ----------------------------------------------------------------------
 
+def _json_object(value, field):
+    """value, read from a document's field, when it is a JSON object;
+    ValueError naming the field otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError("%r must be a JSON object, got %s"
+                         % (field, type(value).__name__))
+    return value
+
+
+def _signatures_from_json(doc):
+    """The document's "signatures" object as {name: SymmetricSignature}."""
+    return {name: SymmetricSignature([AN(e) for e in entries])
+            for name, entries in _json_object(doc["signatures"],
+                                             "signatures").items()}
+
+
 def grid_from_json(doc):
-    sigs = {name: SymmetricSignature([AN(e) for e in entries])
-            for name, entries in doc["signatures"].items()}
+    sigs = _signatures_from_json(doc)
     vertices = []
     for vd in doc["vertices"]:
         if vd["sig"] not in sigs:
@@ -466,7 +481,7 @@ def grid_from_json(doc):
         vertices.append(Vertex(vid, sigs[vd["sig"]], vd["rotation"]))
     ids = {v.id for v in vertices}
     side = {}
-    for k, s in (doc.get("side") or {}).items():
+    for k, s in _json_object(doc.get("side") or {}, "side").items():
         key = _json_id(k)
         if key not in ids and str(k).startswith("["):
             try:  # a tuple key, written as a JSON list by grid_to_json

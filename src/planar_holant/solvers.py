@@ -44,6 +44,7 @@ from .grid import (
     _connect,
     _genus0,
     _json_id,
+    _json_object,
     _link,
     _trace_faces,
     edge_cap,
@@ -238,7 +239,8 @@ def fkt_count_pm(g):
 def weighted_graph_from_json(doc):
     return WeightedPlanarGraph(
         doc["vertices"],
-        {_json_id(k): v for k, v in doc["rotation"].items()},
+        {_json_id(k): v
+         for k, v in _json_object(doc["rotation"], "rotation").items()},
         [(a, b, AN(w)) for (a, b, w) in doc["edges"]])
 
 
@@ -1336,7 +1338,8 @@ def hypergraph_from_json(doc):
         [_json_id(v) for v in doc["vertices"]],
         [(_json_id(e["id"]), [_json_id(m) for m in e["members"]])
          for e in doc["hyperedges"]],
-        {_json_id(k): v for k, v in doc["rotation"].items()})
+        {_json_id(k): v
+         for k, v in _json_object(doc["rotation"], "rotation").items()})
 
 
 def hypergraph_to_json(h):

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +13,7 @@ from planar_holant.algebra import (
     ONE,
     ParseError,
     SQRT2,
+    TWO,
     ZERO,
     ZETA,
     format_scalar,
@@ -85,6 +88,22 @@ def test_parse_examples():
     assert parse_scalar(" 7 / 3 ") == AlgebraicNumber(Fraction(7, 3))
 
 
+terms = st.lists(st.tuples(st.integers(-10 ** 20, 10 ** 20),
+                           st.integers(-10 ** 6, 10 ** 6).filter(bool),
+                           st.integers(0, 9)), min_size=1, max_size=6)
+
+
+@given(terms)
+def test_parse_sums_terms_over_mixed_denominators(ts):
+    text = "%d/%d*w^%d" % ts[0] + "".join(
+        " %s %d/%d*w^%d" % ("-" if p < 0 else "+", abs(p), q, e)
+        for p, q, e in ts[1:])
+    expected = ZERO
+    for p, q, e in ts:
+        expected = expected + AlgebraicNumber(Fraction(p, q)) * ZETA ** e
+    assert parse_scalar(text) == expected
+
+
 def test_parse_errors_have_positions():
     for bad in ["", "1 +", "w^", "3*q", "1//2", "i i"]:
         with pytest.raises(ParseError) as e:
@@ -110,3 +129,193 @@ def test_sqrt_absent_outside_field():
     assert sqrt_in_field(I) == ZETA or sqrt_in_field(I) == -ZETA
     assert sqrt_in_field(SQRT2) is None
     assert sqrt_in_field(AN(2)) == SQRT2 or sqrt_in_field(AN(2)) == -SQRT2
+
+
+# -- the integer representation against a Fraction reference ----------------
+#
+# A test-local copy of the field as it was when each coefficient was a
+# Fraction: the negacyclic product, the Galois maps and the inverse through
+# the norm.  Elements are 4-tuples of Fractions.
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * 4
+    for ia in range(4):
+        for ib in range(4):
+            k = ia + ib
+            v = a[ia] * b[ib]
+            if k >= 4:
+                out[k - 4] -= v
+            else:
+                out[k] += v
+    return tuple(out)
+
+
+def ref_galois(a, k):
+    out = [Fraction(0)] * 4
+    out[0] = a[0]
+    for j in range(1, 4):
+        e = (j * k) % 8
+        if e >= 4:
+            out[e - 4] -= a[j]
+        else:
+            out[e] += a[j]
+    return tuple(out)
+
+
+def ref_inv(a):
+    p = ref_mul(ref_mul(ref_galois(a, 3), ref_galois(a, 5)), ref_galois(a, 7))
+    n = ref_mul(a, p)
+    assert n[1] == n[2] == n[3] == 0
+    return tuple(x / n[0] for x in p)
+
+
+def ref_pow(a, e):
+    if e < 0:
+        return ref_pow(ref_inv(a), -e)
+    r = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    for _ in range(e):
+        r = ref_mul(r, a)
+    return r
+
+
+def assert_canonical(x):
+    assert all(type(n) is int for n in x.num) and type(x.den) is int
+    assert x.den > 0 and gcd(*x.num, x.den) == 1
+
+
+wide_rationals = st.one_of(
+    rationals,
+    st.integers(-2 ** 90, 2 ** 90),
+    st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80),
+              st.integers(1, 2 ** 70)),
+    st.just(0),
+)
+coefficient_tuples = st.one_of(
+    st.tuples(wide_rationals, wide_rationals, wide_rationals, wide_rationals),
+    st.tuples(wide_rationals, st.just(0), st.just(0), st.just(0)),
+    st.integers(0, 7).map(lambda k: tuple((ZETA ** k).c)),
+)
+operands = st.tuples(coefficient_tuples, coefficient_tuples,
+                     st.integers(-3, 3),
+                     st.sampled_from([1, 3, 5, 7, 9, 11, -1, -3]))
+
+
+def seeded_operands():
+    rng = random.Random(20261018)
+    tuples = [(0, 0, 0, 0), (1, 0, 0, 0), (Fraction(-7, 3), 0, 0, 0),
+              (0, 1, 0, -1), (2 ** 64 + 1, -(2 ** 65), 3, 0)]
+    tuples += [tuple((ZETA ** k).c) for k in range(8)]
+    for _ in range(40):
+        tuples.append(tuple(
+            Fraction(rng.randint(-2 ** 70, 2 ** 70),
+                     rng.choice([1, 2, 3, 2 ** 64 + 13,
+                                 rng.randint(1, 10 ** 25)]))
+            for _ in range(4)))
+    return [(a, b, rng.randint(-3, 3), rng.choice([1, 3, 5, 7]))
+            for a in tuples for b in rng.sample(tuples, 4)]
+
+
+def results_and_references(a, b, e, k):
+    """(result, reference coefficients) for each operation on the elements
+    with coefficients a and b.  The predicates, rational() and the
+    inverse of zero are checked here, as they have no coefficients."""
+    x, y = AlgebraicNumber(*a), AlgebraicNumber(*b)
+    a = tuple(Fraction(v) for v in a)
+    b = tuple(Fraction(v) for v in b)
+    out = [(x, a), (y, b),
+           (x + y, tuple(u + v for u, v in zip(a, b))),
+           (x - y, tuple(u - v for u, v in zip(a, b))),
+           (-x, tuple(-u for u in a)),
+           (x * y, ref_mul(a, b)),
+           (x.galois(k), ref_galois(a, k)),
+           (x.conj(), ref_galois(a, 7)),
+           (x ** abs(e), ref_pow(a, abs(e))),
+           (parse_scalar(format_scalar(x)), a)]
+    if any(a):
+        out += [(x.inv(), ref_inv(a)), (y / x, ref_mul(b, ref_inv(a))),
+                (x ** e, ref_pow(a, e))]
+    else:
+        with pytest.raises(DivisionByZero):
+            x.inv()
+    assert x.is_zero() == (not any(a))
+    assert x.is_rational() == (not any(a[1:]))
+    if x.is_rational():
+        assert type(x.rational()) is Fraction and x.rational() == a[0]
+    return out
+
+
+def assert_matches_reference(a, b, e, k):
+    for x, ref in results_and_references(a, b, e, k):
+        assert x.c == ref
+        assert all(type(v) is Fraction for v in x.c)
+
+
+@given(operands)
+def test_field_matches_fraction_reference(args):
+    assert_matches_reference(*args)
+
+
+def test_field_matches_fraction_reference_seeded():
+    for args in seeded_operands():
+        assert_matches_reference(*args)
+
+
+@given(operands)
+def test_every_result_is_canonical(args):
+    for x, _ in results_and_references(*args):
+        assert_canonical(x)
+
+
+def test_every_seeded_result_is_canonical():
+    for args in seeded_operands():
+        for x, _ in results_and_references(*args):
+            assert_canonical(x)
+
+
+def test_equal_values_have_equal_slots_and_hashes():
+    half = [AN(Fraction(2, 4)), ONE / 2, parse_scalar("1/2"),
+            AlgebraicNumber(Fraction(1, 2)), AN(3) / 6, TWO.inv(),
+            ZETA * ZETA.conj() / 2, (SQRT2 / 2) ** 2, ONE - parse_scalar("2/4"),
+            AlgebraicNumber(Fraction(1, 4)) + AlgebraicNumber(Fraction(1, 4))]
+    for x in half:
+        assert_canonical(x)
+        assert x == Fraction(1, 2) and x == half[0]
+        assert (x.num, x.den) == ((1, 0, 0, 0), 2)
+        assert hash(x) == hash(half[0])
+    assert len(set(half)) == 1
+    zeros = [ZERO, ONE - ONE, AN(Fraction(1, 3)) - AN(Fraction(1, 3)),
+             AlgebraicNumber(Fraction(0, 5)), ZETA * 0]
+    for x in zeros:
+        assert (x.num, x.den) == ((0, 0, 0, 0), 1)
+        assert hash(x) == hash(ZERO)
+    assert AlgebraicNumber(True, False) == ONE
+    assert format_scalar(AlgebraicNumber(True)) == "1"
+    assert format_scalar(AN(True) * ZETA) == "w"
+
+
+def test_non_rational_coefficients_raise_type_error():
+    for bad in (0.5, 1.0, None, [1], "1", 1j):
+        with pytest.raises(TypeError):
+            AlgebraicNumber(bad)
+        with pytest.raises(TypeError):
+            AlgebraicNumber(1, 0, bad)
+    with pytest.raises(TypeError):
+        AN(0.5)
+    with pytest.raises(TypeError):
+        ONE + 0.5
+    with pytest.raises(TypeError):
+        ZETA * 0.5
+
+
+def test_c_is_read_only():
+    x = AlgebraicNumber(Fraction(1, 2), 3)
+    assert x.c == (Fraction(1, 2), 3, 0, 0)
+    with pytest.raises(AttributeError):
+        x.c = (1, 0, 0, 0)
+
+
+def test_format_reads_lowest_terms_per_coefficient():
+    x = AlgebraicNumber(Fraction(1, 6), Fraction(-1, 2), Fraction(2, 3), 1)
+    assert (x.num, x.den) == ((1, -3, 4, 6), 6)
+    assert format_scalar(x) == "1/6 - 1/2*w + 2/3*w^2 + w^3"
+    assert format_scalar(-ZETA ** 3 / 3) == "-1/3*w^3"

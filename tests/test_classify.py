@@ -348,6 +348,13 @@ def test_hypergraph_verdict():
         hypergraph_verdict([])
 
 
+def test_hypergraph_verdict_rejects_invalid_sizes():
+    for sizes in ([-3], [0], [2.5], ["3"], [True], [5, 0], [2, False],
+                  [4, None]):
+        with pytest.raises(ValueError):
+            hypergraph_verdict(sizes)
+
+
 def test_classify_signature_table():
     t = classify_signature(transform(Z, exact_one(4)))
     assert t["M4plus"] and t["Vplus"] and not t["P"]

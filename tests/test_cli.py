@@ -240,6 +240,14 @@ def test_classify_hpm_sizes(tmp_path, capsys):
     assert doc["verdict"]["tractable"] is False
 
 
+def test_classify_hpm_invalid_sizes_are_exit_2(tmp_path, capsys):
+    for sizes in ([-3], [0], [2.5], ["3"], [True]):
+        path = write_doc(tmp_path, {"sizes": sizes})
+        code, doc = run_cli(capsys, ["classify", "--framework", "hpm", path])
+        assert code == 2
+        assert doc["error"] == "ValueError"
+
+
 # -- pm / hpm -------------------------------------------------------------------
 
 
@@ -409,3 +417,47 @@ def test_classify_rational_matchgate_is_tractable(tmp_path, capsys):
         "framework": "plholant", "tractable": True,
         "case": "M-transformable (case 6)", "obstruction": None,
         "witness": {"transform": [["1", "0"], ["0", "1"]]}, "caveat": False}
+
+
+# -- JSON fields of the wrong type -------------------------------------------
+
+
+def assert_not_an_object(capsys, argv, field):
+    code, doc = run_cli(capsys, argv)
+    assert code == 2
+    assert doc["error"] == "ValueError" and field in doc["message"]
+
+
+def test_classify_signatures_not_an_object(tmp_path, capsys):
+    path = write_doc(tmp_path, {"signatures": []})
+    assert_not_an_object(capsys, ["classify", path], "signatures")
+
+
+def test_eval_signatures_not_an_object(tmp_path, capsys):
+    path = write_doc(tmp_path, dict(self_loop_doc(), signatures=[]))
+    assert_not_an_object(capsys, ["eval", path], "signatures")
+
+
+def test_gate_signatures_not_an_object(tmp_path, capsys):
+    path = write_doc(tmp_path, dict(self_loop_doc(), signatures=[]))
+    assert_not_an_object(capsys, ["gate", path], "signatures")
+
+
+def test_eval_side_not_an_object(tmp_path, capsys):
+    for side in ([1], 5):
+        path = write_doc(tmp_path, dict(self_loop_doc(), side=side))
+        assert_not_an_object(capsys, ["eval", path], "side")
+
+
+def test_pm_rotation_not_an_object(tmp_path, capsys):
+    doc = {"vertices": [1, 2], "rotation": [["a"], ["b"]],
+           "edges": [["a", "b", "3"]]}
+    path = write_doc(tmp_path, doc)
+    assert_not_an_object(capsys, ["pm", path], "rotation")
+
+
+def test_hpm_rotation_not_an_object(tmp_path, capsys):
+    doc = hpm_doc([1, 2, 3, 4, 5])
+    doc["rotation"] = list(doc["rotation"].values())
+    path = write_doc(tmp_path, doc)
+    assert_not_an_object(capsys, ["hpm", path], "rotation")
