@@ -28,7 +28,7 @@ from .classify import (
     dichotomy_plholant_set, hypergraph_verdict,
 )
 from .solvers import (
-    ClassError, RepresentationError, GcdError, PinSearchError,
+    ClassError, GcdError, PinSearchError,
     WeightedPlanarGraph, fkt_count_pm, weighted_graph_from_json,
     weighted_graph_to_json, product_eval, affine_eval, vanishing_eval,
     EOInstance, eo_geneq_eval, PlanarHypergraph, hypergraph_pm,

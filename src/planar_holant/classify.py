@@ -24,7 +24,7 @@ On top of these sit the framework deciders: ``dichotomy_binary_eq``,
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 from .algebra import AN, I, ONE, SQRT2, ZERO, ZETA, sqrt_in_field
 from .sigcalc import (
@@ -48,10 +48,22 @@ ZETA_INV = ZETA.inv()
 
 
 class BadS(ValueError):
-    """The arity set of a binary-with-equalities instance has no r >= 3."""
+    """A binary-with-equalities arity set with a bad arity or no r >= 3."""
 
 
 # -- small helpers ----------------------------------------------------------
+
+def _check_positive(values, error, what):
+    """values as a list, each an int >= 1 and not a bool, else ``error``;
+    an infinite one (JSON's 1e999) is an OverflowError."""
+    values = list(values)
+    for k in values:
+        if k in (inf, -inf):
+            raise OverflowError("%s cannot be infinite" % what)
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise error("%s must be an integer >= 1, got %r" % (what, k))
+    return values
+
 
 def _pair(u, v):
     """Bilinear pairing <u, v> = u0 v0 + u1 v1 (no conjugation)."""
@@ -518,19 +530,22 @@ def m_transformable(F):
 # -- verdicts --------------------------------------------------------------------
 
 class SetVerdict:
-    """Outcome of a dichotomy decision for a framework."""
+    """Outcome of a dichotomy decision for a framework.  ``route`` (None, or
+    a ``solvers.ROUTES`` name; not in the JSON report) solves instances
+    untransformed: "eo" for set case 7 and sizes of gcd >= 5, "fkt" for 2."""
 
     __slots__ = ("framework", "tractable", "case", "obstruction", "witness",
-                 "caveat")
+                 "caveat", "route")
 
     def __init__(self, framework, tractable, case=None, obstruction=None,
-                 witness=None, caveat=False):
+                 witness=None, caveat=False, route=None):
         self.framework = framework
         self.tractable = tractable
         self.case = case
         self.obstruction = obstruction
         self.witness = witness
         self.caveat = caveat
+        self.route = route
 
     def __repr__(self):
         tag = "Tractable(%s)" % self.case if self.tractable \
@@ -561,8 +576,8 @@ def classify_signature(f):
 
 def dichotomy_binary_eq(f, S):
     """Binary signature with a set of equalities =_k for k in S."""
-    S = sorted(set(int(k) for k in S))
-    if not S or max(S) < 3 or min(S) < 1:
+    S = sorted(set(_check_positive(S, BadS, "an equality arity")))
+    if not S or max(S) < 3:
         raise BadS("the arity set must contain some r >= 3")
     d = gcd(*S)
     f0, f1, f2 = AN(f[0]), AN(f[1]), AN(f[2])
@@ -817,21 +832,18 @@ def _plholant_verdict(F):
                             "matching side" % (g, sigma))
     return SetVerdict("plholant", True,
                       case="weighted equalities (gcd %d) with the %s "
-                           "matching side (case 7)" % (d, sigma))
+                           "matching side (case 7)" % (d, sigma), route="eo")
 
 
 def hypergraph_verdict(S):
     """Counting perfect matchings of planar hypergraphs with edge sizes S."""
-    sizes = list(S)
+    sizes = _check_positive(S, ValueError, "a hyperedge size")
     if not sizes:
         raise ValueError("the size multiset must be nonempty")
-    for k in sizes:
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ValueError("a hyperedge size must be an integer >= 1, "
-                             "got %r" % (k,))
     t = gcd(*sizes)
     if t >= 5 or set(sizes) <= {1, 2}:
-        return SetVerdict("hpm", True, case="gcd %d" % t)
+        route = "eo" if t >= 5 else "fkt" if set(sizes) == {2} else None
+        return SetVerdict("hpm", True, case="gcd %d" % t, route=route)
     return SetVerdict("hpm", False,
                       obstruction="gcd %d <= 4 with a hyperedge of size >= 3"
                                   % t)

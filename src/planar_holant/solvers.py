@@ -15,9 +15,11 @@ Five solver families live here:
 * ``eo_geneq_eval``: the pinning algorithm for weighted equalities of arity
   gcd >= 5 mixed with exact-one signatures, connected by disequalities.
 
-``evaluate`` dispatches a grid to whichever route its classification allows,
-falling back to capped brute force.  ``hypergraph_pm`` counts perfect
-matchings of planar hypergraphs through the same machinery.
+``evaluate(grid, method)`` takes the route ``ROUTES[method]``; "auto" tries
+(1) product, affine, vanishing and exact-one FKT on the grid, (2) the route
+its set verdict names, (3) the four again after a 2-stretch and the
+verdict's witness transform, unless that is I, (4) capped brute force.
+``hypergraph_pm`` follows the route of its ``hypergraph_verdict``.
 """
 
 from fractions import Fraction
@@ -57,15 +59,12 @@ from .sigcalc import (
     all_but_one,
     diseq2,
     equality,
+    identity2,
 )
 
 
 class ClassError(ValueError):
     """A signature is outside the class a solver requires."""
-
-
-class RepresentationError(ValueError):
-    """Not raised: the class tests return the representation they found."""
 
 
 class GcdError(ValueError):
@@ -483,15 +482,21 @@ def affine_eval(grid):
 # vanishing grids
 # ---------------------------------------------------------------------------
 
+def _signatures(grid):
+    """The distinct signatures of arity >= 1 in vertex id order: constants
+    only scale the Holant, so the class tests look past them."""
+    return list(dict.fromkeys(grid.vertices[vid].sig
+                              for vid in sorted(grid.vertices, key=repr)
+                              if grid.vertices[vid].sig.arity))
+
+
 def vanishing_eval(grid):
     """Grids built entirely inside one vanishing class evaluate to zero."""
-    sigs = [v.sig for v in grid.vertices.values()]
-    if not sigs:
-        raise ClassError("vanishing_eval needs at least one signature")
-    if all(in_vanishing_plus(f) for f in sigs) or \
-            all(in_vanishing_minus(f) for f in sigs):
+    sigs = _signatures(grid)
+    if sigs and (all(in_vanishing_plus(f) for f in sigs)
+                 or all(in_vanishing_minus(f) for f in sigs)):
         return ZERO
-    raise ClassError("the signatures do not share a vanishing class")
+    raise ClassError("the grid is not built from one vanishing class")
 
 
 # ---------------------------------------------------------------------------
@@ -1310,27 +1315,26 @@ class PlanarHypergraph:
 
 
 def hypergraph_pm(h, cap=None):
-    """(verdict, value): exact when tractable, else capped brute force."""
+    """(verdict, value): exact along the verdict's route, else capped brute
+    force (value None past the cap)."""
     sizes = h.sizes()
     if not sizes:
         # no hyperedges: a perfect matching exists only for no vertices
         return (SetVerdict("hpm", True, case="no hyperedges"),
                 ZERO if h.vertices else ONE)
     verdict = hypergraph_verdict(sizes)
-    t = gcd(*sizes)
-    if t >= 5:
+    if verdict.route == "eo":
         return verdict, eo_geneq_eval(EOInstance(h.holant_grid()))
-    if set(sizes) == {2}:
+    if verdict.route == "fkt":
         # ordinary graph: count perfect matchings through FKT
         edges = [(*h.rotation[he], ONE) for (he, _) in h.hyperedges]
         return verdict, fkt_count_pm(
             WeightedPlanarGraph(h.vertices, h.rotation, edges))
     # PHard sizes, or size-1 hyperedges (planar monomer-dimer): brute force
     try:
-        value = h.holant_grid().holant(cap)
+        return verdict, h.holant_grid().holant(cap)
     except TooLarge:
-        value = None
-    return verdict, value
+        return verdict, None
 
 
 def hypergraph_from_json(doc):
@@ -1374,20 +1378,25 @@ def _fkt_route(grid):
 
 def _eo_route(grid):
     """Z-side normalization: stretch, transform by Z, run the pin solver."""
-    stretched = two_stretch(grid)
-    transformed = holographic_transform_bipartite(stretched, Z)
+    transformed = holographic_transform_bipartite(two_stretch(grid), Z)
     return eo_geneq_eval(EOInstance(transformed))
 
 
-def _transformed_route(grid, T):
-    stretched = two_stretch(grid)
-    return _product_or_affine(holographic_transform_bipartite(stretched, T))
+# the routes by name, each route(grid, cap); the lambdas look the solvers up
+# when called, so a solver replaced on the module is the one that runs
+ROUTES = {
+    "brute": lambda grid, cap: grid.holant(cap),
+    "product": lambda grid, cap: product_eval(grid),
+    "affine": lambda grid, cap: affine_eval(grid),
+    "eo": lambda grid, cap: _eo_route(grid),
+    "fkt": lambda grid, cap: _fkt_route(grid),
+}
 
 
-def _product_or_affine(grid):
-    """The product or affine solver's value when every signature of the grid
-    has that form, else None."""
-    for solver in (product_eval, affine_eval):
+def _direct(grid):
+    """The first value among product, affine, vanishing and exact-one FKT
+    that takes the grid as it stands, or None."""
+    for solver in (product_eval, affine_eval, vanishing_eval, _fkt_route):
         try:
             return solver(grid)
         except ClassError:
@@ -1396,51 +1405,34 @@ def _product_or_affine(grid):
 
 
 def evaluate(grid, method="auto", cap=None):
-    """Exact Holant value through the best applicable route."""
-    if method == "brute":
-        return grid.holant(cap)
-    if method == "product":
-        return product_eval(grid)
-    if method == "affine":
-        return affine_eval(grid)
-    if method == "fkt":
-        return _fkt_route(grid)
-    if method == "eo":
-        return _eo_route(grid)
+    """Exact Holant value by the ``ROUTES`` entry ``method``.  "auto" takes
+    the first that applies of: (1) ``_direct``; (2) the route of the verdict
+    on the distinct non-constant signatures; (3) ``_direct`` on the
+    2-stretched grid moved by the verdict's witness, unless that is absent
+    or the identity; (4) brute force within the edge cap, else TooLarge."""
     if method != "auto":
-        raise ValueError("unknown method %r" % method)
-    if not grid.vertices:
-        return grid.scalar
-    value = _product_or_affine(grid)
+        if method not in ROUTES:
+            raise ValueError("unknown method %r" % method)
+        return ROUTES[method](grid, cap)
+    value = _direct(grid)
     if value is not None:
         return value
-    # constants only scale the Holant: the class tests look past them
-    sigs = list(dict.fromkeys(grid.vertices[vid].sig
-                              for vid in sorted(grid.vertices, key=repr)
-                              if grid.vertices[vid].sig.arity))
-    if all(in_vanishing_plus(f) for f in sigs) or \
-            all(in_vanishing_minus(f) for f in sigs):
-        return ZERO
-    if all(f.support() == (1,) for f in sigs):
-        return _fkt_route(grid)
-    verdict = dichotomy_plholant_set(sigs)
-    if verdict.tractable:
-        if verdict.witness is not None:
-            value = _transformed_route(grid, verdict.witness)
-            if value is not None:
-                return value
-        if verdict.case and "case 7" in verdict.case:
-            return _eo_route(grid)
-        try:
-            return grid.holant(cap)
-        except TooLarge:
+    verdict = dichotomy_plholant_set(_signatures(grid))
+    if verdict.route is not None:
+        return ROUTES[verdict.route](grid, cap)
+    if verdict.witness is not None and verdict.witness != identity2():
+        value = _direct(holographic_transform_bipartite(
+            two_stretch(grid), verdict.witness))
+        if value is not None:
+            return value
+    try:
+        return grid.holant(cap)
+    except TooLarge:
+        if verdict.tractable:
             raise TooLarge(
                 "tractable (%s) but no polynomial route is implemented and "
                 "%d edges exceed the cap %d"
                 % (verdict.case, len(grid.edges), edge_cap(cap)))
-    try:
-        return grid.holant(cap)
-    except TooLarge:
         raise TooLarge(
             "classified #P-hard (%s) and %d edges exceed the brute-force "
             "cap %d" % (verdict.obstruction, len(grid.edges), edge_cap(cap)))

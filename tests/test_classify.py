@@ -269,6 +269,25 @@ def test_binary_eq_dichotomy():
         dichotomy_binary_eq([1, 2, 3], {2})
 
 
+def test_binary_eq_rejects_invalid_arities():
+    for S in ([3.5], ["3"], [True, 3], [3, 0], [3, None], [3.0]):
+        with pytest.raises(BadS):
+            dichotomy_binary_eq([1, 0, 1], S)
+    assert issubclass(BadS, ValueError)
+    with pytest.raises(OverflowError):
+        dichotomy_binary_eq([1, 0, 1], [3, float("inf")])
+
+
+def test_route_ids_name_the_solver():
+    F = [transform(Z, equality(5)), transform(Z, exact_one(3))]
+    assert dichotomy_plholant_set(F).route == "eo"
+    assert dichotomy_plholant_set([exact_one(3)]).route is None
+    assert hypergraph_verdict([5, 10]).route == "eo"
+    assert hypergraph_verdict([2, 2]).route == "fkt"
+    assert hypergraph_verdict([1, 2]).route is None
+    assert hypergraph_verdict([3, 6]).route is None
+
+
 def test_plcsp_dichotomies():
     b = AN(3)
     f = sig([1, b, 1])

@@ -461,3 +461,37 @@ def test_hpm_rotation_not_an_object(tmp_path, capsys):
     doc["rotation"] = list(doc["rotation"].values())
     path = write_doc(tmp_path, doc)
     assert_not_an_object(capsys, ["hpm", path], "rotation")
+
+
+def test_classify_binary_eq_invalid_arities_are_exit_2(tmp_path, capsys):
+    for S in ([3.5], ["3"], [True, 3]):
+        path = write_doc(tmp_path, {"f": ["1", "0", "1"], "S": S})
+        code, doc = run_cli(capsys, ["classify", "--framework", "binary-eq",
+                                     path])
+        assert code == 2
+        assert doc["error"] == "BadS"
+
+
+def bundle_doc(entries, n):
+    """Two vertices of one signature joined by n parallel edges."""
+    left = ["a%d" % k for k in range(n)]
+    right = ["b%d" % k for k in reversed(range(n))]
+    return {"signatures": {"f": entries},
+            "vertices": [{"id": 0, "sig": "f", "rotation": left},
+                         {"id": 1, "sig": "f", "rotation": right}],
+            "edges": [["a%d" % k, "b%d" % k] for k in range(n)]}
+
+
+def test_eval_too_large_texts(tmp_path, capsys):
+    k4 = grid_to_json(k4_grid(lambda v: sig([1, 0, 3, 0])))
+    path = write_doc(tmp_path, k4)
+    assert run_cli(capsys, ["eval", "--cap", "2", path]) == (1, {
+        "error": "TooLarge",
+        "message": "tractable (M-transformable (case 6)) but no polynomial "
+                   "route is implemented and 6 edges exceed the cap 2"})
+    path = write_doc(tmp_path, bundle_doc(["2", "1", "0", "0", "0"], 4))
+    assert run_cli(capsys, ["eval", "--cap", "2", path]) == (1, {
+        "error": "TooLarge",
+        "message": "classified #P-hard (Sig[2, 1, 0, 0, 0] is outside every "
+                   "tractable family) and 4 edges exceed the brute-force "
+                   "cap 2"})

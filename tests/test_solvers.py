@@ -1427,3 +1427,77 @@ def test_weighted_graph_json_keeps_string_ids_that_look_like_lists():
     g2 = weighted_graph_from_json(json.loads(json.dumps(weighted_graph_to_json(g))))
     assert list(g2.vertex_ids) == ["[0]", "[1]"]
     assert fkt_count_pm(g2) == AN(5)
+
+
+def vanishing_pair_with_constant():
+    """Z[1,2,0,0] and Z[2,1,0,0] joined by three edges (vanishing, Holant 0)
+    beside an isolated constant [3]."""
+    f = transform(Z, sig([1, 2, 0, 0]))
+    g = transform(Z, sig([2, 1, 0, 0]))
+    return PlanarGrid([Vertex(0, f, ["a1", "a2", "a3"]),
+                       Vertex(1, g, ["b3", "b2", "b1"]),
+                       Vertex("c", sig([3]), [])],
+                      [("a%d" % k, "b%d" % k) for k in (1, 2, 3)])
+
+
+def test_vanishing_eval_looks_past_constants():
+    g = vanishing_pair_with_constant()
+    assert vanishing_eval(g) == ZERO
+    assert evaluate(g, cap=1) == ZERO == naive_holant(g)
+
+
+DISPATCH_GRIDS = {
+    "product": lambda: random_product_grid(1),
+    "affine": lambda: random_affine_grid(1),
+    "vanishing+": lambda: random_vanishing_grid(3, "+"),
+    "vanishing-": lambda: random_vanishing_grid(3, "-"),
+    "vanishing-with-constant": vanishing_pair_with_constant,
+    "exact-one": lambda: k4_grid(lambda v: exact_one(3).scale(AN(v))),
+    "case-7": lambda: z_wheel_grid(2, 3),
+    "transformed-product": lambda: transformed_pair_grid(
+        orth(2) @ diag(2, AN(3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISPATCH_GRIDS))
+def test_evaluate_routes_without_brute_force(name):
+    """At cap 1 brute force refuses every grid here, so auto must reach the
+    value through a polynomial route."""
+    g = DISPATCH_GRIDS[name]()
+    assert len(g.edges) > 1
+    with pytest.raises(TooLarge):
+        evaluate(g, method="brute", cap=1)
+    assert evaluate(g, cap=1) == g.holant(cap=64)
+
+
+def lattice_hypergraph(k, m):
+    """The k x m grid graph as a hypergraph of size-2 hyperedges; each
+    vertex lists its neighbours right, up, left, down (counterclockwise)."""
+    vertices = [(i, j) for i in range(k) for j in range(m)]
+    rotation = {v: [] for v in vertices}
+    hyperedges = []
+    for (i, j) in vertices:
+        for (di, dj) in ((0, 1), (-1, 0), (0, -1), (1, 0)):
+            w = (i + di, j + dj)
+            if w in rotation:
+                rotation[(i, j)].append(("inc", (i, j), w))
+                if (i, j) < w:
+                    he = ("e", (i, j), w)
+                    hyperedges.append((he, [(i, j), w]))
+                    rotation[he] = [("inc", (i, j), w), ("inc", w, (i, j))]
+    return PlanarHypergraph(vertices, hyperedges, rotation)
+
+
+@pytest.mark.parametrize("k, m, count", [(2, 3, 3), (3, 4, 11), (4, 4, 36)])
+def test_hypergraph_pm_lattice_follows_fkt_route(k, m, count):
+    verdict, value = hypergraph_pm(lattice_hypergraph(k, m), cap=1)
+    assert verdict.route == "fkt"
+    assert value == AN(count)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_hypergraph_pm_gcd5_follows_eo_route(seed):
+    h = random_hypergraph5(seed)
+    verdict, value = hypergraph_pm(h, cap=1)
+    assert verdict.route == "eo"
+    assert value == brute_hpm(h)
