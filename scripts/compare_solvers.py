@@ -16,12 +16,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from planar_holant.solvers import (
     fkt_count_pm, product_eval, affine_eval, vanishing_eval,
-    EOInstance, eo_geneq_eval,
+    EOInstance, eo_geneq_eval, evaluate,
 )
 
 from test_solvers import (
     brute_pm, random_weighted_graph, random_product_grid,
     random_affine_grid, random_vanishing_grid, build_instance_biased,
+    z_side_grid,
 )
 
 
@@ -64,6 +65,10 @@ def main():
     bad += race("eo-pinning", lambda g: eo_geneq_eval(EOInstance(g)),
                 lambda g: g.holant(cap=80),
                 [build_instance_biased(base + s) for s in range(n)])
+    bad += race("eo-z-side", lambda g: evaluate(g, method="eo"),
+                lambda g: g.holant(cap=80),
+                [z_side_grid(build_instance_biased(base + s))
+                 for s in range(n)])
     sys.exit(1 if bad else 0)
 
 

@@ -823,13 +823,9 @@ def _plholant_verdict(F):
         return _apm_verdict(
             F, [ROUTE_A, ROUTE_P, ROUTE_M],
             "binary %r leaves the Z image of the product type" % offenders[0])
-    in_m4_sigma = in_M4_plus if sigma == "+" else in_M4_minus
-    for g in sigs:
-        if not (in_ZP(g) or in_m4_sigma(g)):
-            return SetVerdict(
-                "plholant", False,
-                obstruction="%r is outside the Z product type and the %s "
-                            "matching side" % (g, sigma))
+    # every member is now in the Z image of P or in M4^sigma: degenerate
+    # signatures are product type, the binaries passed in_ZP, and every nd3
+    # is in P2 or on the one matching side sigma
     return SetVerdict("plholant", True,
                       case="weighted equalities (gcd %d) with the %s "
                            "matching side (case 7)" % (d, sigma), route="eo")

@@ -13,12 +13,14 @@ Five solver families live here:
   (both fold each distinct signature's ``classify`` form);
 * ``vanishing_eval``: grids built from one vanishing class are exactly 0;
 * ``eo_geneq_eval``: the pinning algorithm for weighted equalities of arity
-  gcd >= 5 mixed with exact-one signatures, connected by disequalities.
+  gcd >= 5 mixed with exact-one signatures, connected by disequalities; an
+  ``EOInstance`` reads a bipartite grid, or a grid's Z images directly.
 
 ``evaluate(grid, method)`` takes the route ``ROUTES[method]``; "auto" tries
 (1) product, affine, vanishing and exact-one FKT on the grid, (2) the route
-its set verdict names, (3) the four again after a 2-stretch and the
-verdict's witness transform, unless that is I, (4) capped brute force.
+its set verdict names (``eo``: case 7 read in the Z basis), (3) the four
+again after a 2-stretch and the verdict's witness transform, unless that
+is I, (4) capped brute force.
 ``hypergraph_pm`` follows the route of its ``hypergraph_verdict``.
 """
 
@@ -55,7 +57,6 @@ from .grid import (
 )
 from .sigcalc import (
     SymmetricSignature,
-    Z,
     all_but_one,
     diseq2,
     equality,
@@ -504,12 +505,23 @@ def vanishing_eval(grid):
 # ---------------------------------------------------------------------------
 
 class EOInstance:
-    """A bipartite grid: disequalities on the left; generalized equalities,
-    exact-one signatures and pins on the right.
+    """A closed instance of the pinning solver: generalized equalities,
+    exact-one signatures and pins, their half-edges joined in pairs by
+    disequalities.
 
-    The constructor folds the left disequalities into internal edges, splits
-    Z-side degenerate signatures into pins, and flips the whole instance when
-    the matching side arrives reversed (all-but-one instead of exact-one).
+    ``EOInstance(grid)`` reads a bipartition-tagged grid, whose left
+    disequalities [0, c, 0] link the right signatures' half-edges.
+    ``EOInstance.z_side(grid)`` reads a closed grid in the Z basis: each
+    signature is its Z image ``f.zhat()``, each edge the disequality
+    (=_2) Z^{tensor 2} = [0, 2, 0].  One reader serves both.  It splits
+    degenerate signatures into pins.  When the matching side arrives
+    reversed (all-but-one, not exact-one), it reads every signature
+    reversed; flipping every bit keeps each disequality, so the value holds.
+
+    ``nodes`` holds (kind, payload, end): "eq" with (w0, w1) and end sign 0,
+    "eo" with its weight on every end, "pin" with (c0, c1), one of them 0.
+    ``edges`` pairs node indices; ``k`` is the gcd of the equality arities
+    (0 without equalities).
     """
 
     def __init__(self, grid):
@@ -517,96 +529,71 @@ class EOInstance:
             raise StructureError("EO instances must be closed")
         if not grid.side or any(v not in grid.side for v in grid.vertices):
             raise StructureError("EO instances need a bipartition tagging")
-        self.grid = grid
-        self.scalar = grid.scalar
-        self.zero = False
-        self.exact_ones = []     # exact-one signatures of arity >= 3
-        self.reversed_ones = []  # all-but-one signatures of arity >= 3
-        self._build()
+        right, links, scalar = [], [], grid.scalar
+        for vid in sorted(grid.vertices, key=repr):
+            v = grid.vertices[vid]
+            if grid.side[vid] == "R":
+                right.append((v.sig, v.rotation))
+            elif not _is_diseq(v.sig):
+                raise ClassError(
+                    "left side must be disequalities, got %r" % v.sig)
+            else:
+                scalar = scalar * v.sig[1]
+                links.append([grid.partner[h] for h in v.rotation])
+        self._read(right, links, scalar)
 
-    def _build(self):
-        grid = self.grid
-        half_slot = {}   # half id -> (node index, slot index) on the right
-        nodes = []       # parsed right-side nodes: (kind, payload)
-        for vid in sorted(grid.vertices, key=repr):
-            v = grid.vertices[vid]
-            if grid.side[vid] == "L":
-                continue
-            f = v.sig
-            if f.is_zero():
-                self.zero = True
-                return
-            pos = 0
-            for (kind, payload, width) in self._parse_sig(f, len(v.rotation)):
-                idx = len(nodes)
-                nodes.append((kind, payload))
-                for k in range(width):
-                    half_slot[v.rotation[pos]] = (idx, k)
-                    pos += 1
-            assert pos == len(v.rotation)
-        # fold left disequalities into edges between right slots
-        edges = []
-        for vid in sorted(grid.vertices, key=repr):
-            v = grid.vertices[vid]
-            if grid.side[vid] != "L":
-                continue
-            f = v.sig
-            if not _is_diseq(f):
-                raise ClassError("left side must be disequalities, got %r" % f)
-            self.scalar = self.scalar * f[1]
-            ends = []
-            for h in v.rotation:
-                other = grid.partner[h]
-                if other not in half_slot:
-                    raise ClassError("disequalities must connect to the right")
-                ends.append(half_slot[other])
-            edges.append(tuple(ends))
-        if 2 * len(edges) != sum(
-                len(grid.vertices[v].rotation) for v in grid.vertices
-                if grid.side[v] == "R"):
-            raise StructureError("every right slot needs a left disequality")
-        # flip when the matching side is reversed
-        flip = bool(self.reversed_ones)
-        if flip and self.exact_ones:
+    @classmethod
+    def z_side(cls, grid):
+        """The instance of a closed grid read in the Z basis."""
+        if grid.dangling:
+            raise StructureError("EO instances must be closed")
+        first = {}  # equal signatures share the first one's Z image
+        right = [(first.setdefault(v.sig, v.sig).zhat(), v.rotation)
+                 for v in map(grid.vertices.get,
+                              sorted(grid.vertices, key=repr))]
+        inst = cls.__new__(cls)
+        inst._read(right, grid.edges, grid.scalar * AN(2) ** len(grid.edges))
+        return inst
+
+    def _read(self, right, links, scalar):
+        """Build ``nodes`` and ``edges`` from the right signatures with their
+        half-edges, and one disequality link per pair of half-edges."""
+        self.nodes, self.edges, self.k, self.scalar = [], [], 0, scalar
+        sigs = [f for (f, _) in right]
+        if any(f.is_zero() for f in sigs):  # the Holant is 0
+            self.scalar = ZERO
+            return
+        flip = any(f.arity >= 3 and f.support() == (f.arity - 1,)
+                   for f in sigs)
+        if flip and any(f.arity >= 3 and f.support() == (1,) for f in sigs):
             raise ClassError("exact-one and all-but-one signatures mix")
-        self.nodes = []
-        for (kind, payload) in nodes:
-            if flip:
-                if kind in ("eq", "pin"):
-                    payload = (payload[1], payload[0]) + payload[2:]
-                elif kind == "rev":
-                    kind = "eo"
-            elif kind == "rev":
-                raise AssertionError("unflipped reversed signature")
-            self.nodes.append((kind, payload))
-        self.edges = edges
-        self.k = gcd(*(payload[2] for (kind, payload) in self.nodes
-                       if kind == "eq"))
+        node_of = {}  # right half-edge -> node index
+        for (f, halves) in right:
+            for (kind, payload, end, hs) in self._parse(
+                    f.reversed() if flip else f, halves):
+                node_of.update(dict.fromkeys(hs, len(self.nodes)))
+                self.nodes.append((kind, payload, end))
+        for link in links:
+            if any(h not in node_of for h in link):
+                raise ClassError("disequalities must connect to the right")
+            self.edges.append(tuple(node_of[h] for h in link))
+        if 2 * len(links) != len(node_of):
+            raise StructureError("every right slot needs a left disequality")
 
-    def _parse_sig(self, f, width):
-        """Split one right signature into internal node descriptors."""
-        if f.arity == 1:
-            c0, c1 = f[0], f[1]
-            if c0.is_zero() or c1.is_zero():
-                return [("pin", (c0, c1), 1)]
-            raise ClassError("unary %r is neither pin nor splittable" % f)
-        if f.support() == (1,):
-            if f.arity >= 3:
-                self.exact_ones.append(f)
-            return [("eo", f[1], width)]
-        if f.arity >= 3 and f.support() == (f.arity - 1,):
-            self.reversed_ones.append(f)
-            return [("rev", f[f.arity - 1], width)]
+    def _parse(self, f, halves):
+        """The nodes (kind, payload, end, half-edges) of one signature."""
+        if f.arity >= 2 and f.support() == (1,):
+            return [("eo", None, f[1], halves)]
         form = product_form(f)
         if form is not None and form.link == 0:
-            return [("eq", (form.w0, form.w1, f.arity), width)]
-        if form is not None and form.link is None:
-            if not form.w0.is_zero() and not form.w1.is_zero():
-                raise ClassError(
-                    "degenerate %r has no pin decomposition" % f)
-            self.scalar = self.scalar * form.scalar
-            return [("pin", (form.w0, form.w1), 1)] * f.arity
-        raise ClassError("%r is not a weighted equality, exact-one or pin" % f)
+            self.k = gcd(self.k, f.arity)
+            return [("eq", (form.w0, form.w1), 0, halves)]
+        if form is None or form.link is not None or not (
+                form.w0.is_zero() or form.w1.is_zero()):
+            raise ClassError(
+                "%r is not a weighted equality, exact-one or pin" % f)
+        self.scalar = self.scalar * form.scalar
+        return [("pin", (form.w0, form.w1), None, (h,)) for h in halves]
 
 
 class _EOState:
@@ -670,30 +657,6 @@ class _EOState:
         self.scalar = self.scalar * w
         if self.scalar.is_zero():
             self.zero = True
-
-
-def _eo_state(inst):
-    state = _EOState()
-    node_vid = []
-    for (kind, payload) in inst.nodes:
-        node_vid.append(state.add_vertex(
-            kind, payload[:2] if kind == "eq" else payload))
-    for ((na, _), (nb, _)) in inst.edges:
-        da = _end_data(*inst.nodes[na])
-        db = _end_data(*inst.nodes[nb])
-        state.add_edge(node_vid[na], da, node_vid[nb], db)
-    state.scalar = inst.scalar
-    if state.scalar.is_zero() or inst.zero:
-        state.zero = True
-    return state
-
-
-def _end_data(kind, payload):
-    if kind == "eq":
-        return 0
-    if kind == "eo":
-        return payload
-    return None
 
 
 def _resolve(state, requests):
@@ -1204,7 +1167,12 @@ def eo_geneq_eval(inst):
     """Exact Holant of an EO instance by repeated rewriting and pinning."""
     if inst.k and inst.k < 5:
         raise GcdError("equality arities have gcd %d < 5" % inst.k)
-    state = _eo_state(inst)
+    state = _EOState()
+    vids = [state.add_vertex(kind, payload)
+            for (kind, payload, _) in inst.nodes]
+    for (a, b) in inst.edges:
+        state.add_edge(vids[a], inst.nodes[a][2], vids[b], inst.nodes[b][2])
+    state.mul(inst.scalar)
     while not state.zero and (state.ends or state.kind):
         before = state.measure()
         if not _simplify_step(state):
@@ -1377,9 +1345,11 @@ def _fkt_route(grid):
 
 
 def _eo_route(grid):
-    """Z-side normalization: stretch, transform by Z, run the pin solver."""
-    transformed = holographic_transform_bipartite(two_stretch(grid), Z)
-    return eo_geneq_eval(EOInstance(transformed))
+    """Case 7: pin the grid read in the Z basis, where each signature is its
+    Z image and each edge the disequality [0, 2, 0]."""
+    if not grid.validate()[1]:
+        raise EmbeddingError("the grid is not genus 0")
+    return eo_geneq_eval(EOInstance.z_side(grid))
 
 
 # the routes by name, each route(grid, cap); the lambdas look the solvers up

@@ -21,6 +21,7 @@ from planar_holant.sigcalc import (
 )
 from planar_holant.classify import (
     BadS,
+    _plholant_verdict,
     classify_signature,
     dichotomy_binary_eq,
     dichotomy_plcsp,
@@ -355,6 +356,60 @@ def test_plholant_set_m4_sides():
     # one matching side with a compatible weighted equality of arity 5
     v = dichotomy_plholant_set([fp, g])
     assert v.tractable and "case 7" in v.case
+
+
+def z_image(entries):
+    """The signature whose Z image is ``entries``."""
+    return transform(Z, sig(entries))
+
+
+ZEO3, ZABO3, ZEQ5 = z_image([0, 1, 0, 0]), z_image([0, 0, 1, 0]), \
+    z_image([1, 0, 0, 0, 0, 1])
+
+# one small set per outcome of the plholant dichotomy's later branches:
+# (set, tractable, case or obstruction prefix)
+PLHOLANT_OUTCOMES = [
+    # an A3 anchor settles the set by A- or M-transformability
+    ([sig([ZETA ** j + I * (-ZETA) ** j for j in range(5)])], True,
+     "A-transformable (case 2)"),
+    # a vanishing member outside M4 fixes the vanishing side
+    ([z_image([1, 2, 0, 0]), z_image([1, 0, 1])], False,
+     "binary Sig[2, 0, -2] is incompatible with vanishing side +"),
+    ([z_image([1, 2, 0, 0])], True, "all non-degenerate in R2^+ (case 5)"),
+    ([z_image([1, 2, 3, 0, 0, 0]), sig([1, 0])], False,
+     "degenerate Sig[1, 0] is incompatible with vanishing side +"),
+    # matching sides without weighted equalities
+    ([ZEO3], True, "all non-degenerate in R2^+ (case 5)"),
+    ([ZEO3, z_image([0, 1, 1])], False,
+     "binary Sig[3, -w^2, 1] is incompatible with the matching side"),
+    ([ZEO3, ZABO3, z_image([0, 1, 1])], False,
+     "binary Sig[3, -w^2, 1] is incompatible with mixed matching sides"),
+    ([ZEO3, ZABO3, sig([1, 0])], False,
+     "degenerate Sig[1, 0] is incompatible with mixed matching sides"),
+    ([ZEO3, z_image([1, 0, 2]), sig([1, 1])], False,
+     "matching-side set is not contained in the Z image of the matchgates"),
+    # weighted equalities alone
+    ([transform(Z, equality(3))], True, "P-transformable (case 3)"),
+    # weighted equalities with one matching side
+    ([ZEQ5, ZEO3, sig([1, 1])], False,
+     "weighted equalities of Z-arity gcd 1 <= 4"),
+    ([ZEQ5, ZEO3, z_image([1, 1, 2])], False,
+     "binary Sig[5, -w^2, -1] leaves the Z image of the product type"),
+]
+
+CASE_CLASS = {"case 2": in_A, "case 3": in_P, "case 6": in_matchgate}
+
+
+@pytest.mark.parametrize("F, tractable, text", PLHOLANT_OUTCOMES)
+def test_plholant_verdict_outcomes(F, tractable, text):
+    v = _plholant_verdict(F)
+    assert v.tractable is tractable
+    assert (v.case if tractable else v.obstruction).startswith(text)
+    if tractable and v.witness is not None:
+        member = next(test for case, test in CASE_CLASS.items()
+                      if case in v.case)
+        S = v.witness.inverse()
+        assert all(member(transform(S, f)) for f in F)
 
 
 def test_hypergraph_verdict():

@@ -10,6 +10,7 @@ from planar_holant.grid import grid_to_json, grid_from_json
 from planar_holant.sigcalc import sig, equality, transform, Z
 
 from test_grid import k4_grid, naive_holant
+from test_solvers import nonplanar_case7_grid
 
 
 def run_cli(capsys, argv):
@@ -55,6 +56,14 @@ def test_eval_auto_matches_naive(tmp_path, capsys):
     code, doc = run_cli(capsys, ["eval", path])
     assert code == 0
     assert AN(doc["value"]) == naive_holant(grid)
+
+
+def test_eval_nonplanar_case7_is_exit_2(tmp_path, capsys):
+    path = write_doc(tmp_path, grid_to_json(nonplanar_case7_grid()))
+    for extra in ([], ["--cap", "40"]):
+        code, doc = run_cli(capsys, ["eval"] + extra + [path])
+        assert code == 2
+        assert doc["error"] == "EmbeddingError"
 
 
 def test_eval_method_mismatch_is_invalid(tmp_path, capsys):
@@ -277,6 +286,15 @@ def test_hpm_single_hyperedge(tmp_path, capsys):
     assert code == 0
     assert doc["value"] == "1"
     assert doc["verdict"]["tractable"] is True
+
+
+def test_hpm_uncovered_vertex(tmp_path, capsys):
+    doc = dict(hpm_doc([0, 1, 2, 3, 4]), vertices=[0, 1, 2, 3, 4, 5])
+    path = write_doc(tmp_path, doc)
+    code, out = run_cli(capsys, ["hpm", path])
+    assert code == 0
+    assert out["value"] == "0"
+    assert out["verdict"]["case"] == "gcd 5"
 
 
 def test_hpm_hard_capped(tmp_path, capsys):

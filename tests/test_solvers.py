@@ -10,7 +10,8 @@ import planar_holant.solvers as solvers
 from planar_holant.algebra import AN, AlgebraicNumber, I, ONE, ZERO
 from planar_holant.classify import in_A, in_P, in_vanishing_minus, in_vanishing_plus
 from planar_holant.grid import (
-    PlanarGrid, StructureError, TooLarge, Vertex, two_stretch)
+    EmbeddingError, PlanarGrid, StructureError, TooLarge, Vertex,
+    holographic_transform_bipartite, two_stretch)
 from planar_holant.sigcalc import (
     SymmetricSignature,
     Transform2x2,
@@ -651,6 +652,57 @@ def test_eo_matches_brute_biased(seed):
     assert eo_geneq_eval(EOInstance(g)) == g.holant(cap=80)
 
 
+def z_side_grid(g):
+    """The closed grid whose Z-basis reading is the EO-side grid g: each
+    right signature f becomes Z f and each left disequality [0, c, 0] a
+    plain edge, with c / 2 folded into the scalar."""
+    verts, edges, scalar = [], [], g.scalar
+    for v in g.vertices.values():
+        if g.side[v.id] == "R":
+            verts.append(Vertex(v.id, transform(Z, v.sig), v.rotation))
+        else:
+            scalar = scalar * v.sig[1] / AN(2)
+            edges.append(tuple(g.partner[h] for h in v.rotation))
+    return PlanarGrid(verts, edges, scalar=scalar)
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_eo_z_side_reader(seed):
+    g = build_instance_biased(seed)
+    z = z_side_grid(g)
+    assert evaluate(z, method="eo") == g.holant(cap=80)
+    # the former route: stretch, transform by Z, fold the stretch back
+    old = EOInstance(holographic_transform_bipartite(two_stretch(z), Z))
+    assert eo_geneq_eval(EOInstance.z_side(z)) == eo_geneq_eval(old)
+
+
+def nonplanar_case7_grid():
+    """6 copies of Z gen_eq(1, 2, 5) and 10 of Z EO_3 joined by a random
+    simple bipartite graph of 30 edges, which is not genus 0."""
+    f, g = transform(Z, gen_eq(1, 2, 5)), transform(Z, exact_one(3))
+    verts = [Vertex("q%d" % i, f, ["q%d_%d" % (i, j) for j in range(5)])
+             for i in range(6)]
+    verts += [Vertex("e%d" % i, g, ["e%d_%d" % (i, j) for j in range(3)])
+              for i in range(10)]
+    rnd = random.Random(0)
+    eo_halves = [v.rotation[j] for v in verts[6:] for j in range(3)]
+    while True:
+        rnd.shuffle(eo_halves)
+        edges = list(zip((h for v in verts[:6] for h in v.rotation),
+                         eo_halves))
+        owners = {(a.split("_")[0], b.split("_")[0]) for a, b in edges}
+        if len(owners) == len(edges):
+            return PlanarGrid(verts, edges)
+
+
+def test_eo_route_refuses_nonplanar_grid():
+    g = nonplanar_case7_grid()
+    assert not g.validate()[1]
+    for kw in ({}, {"cap": 40}, {"method": "eo"}):
+        with pytest.raises(EmbeddingError):
+            evaluate(g, **kw)
+
+
 def test_eo_sees_nonzero_values():
     hits = 0
     for seed in range(150):
@@ -1206,6 +1258,16 @@ def test_hypergraph_pm_no_hyperedges():
     assert v.tractable and value == ONE
     v, value = hypergraph_pm(PlanarHypergraph([0], [], {}))
     assert v.tractable and value == ZERO
+
+
+def test_hypergraph_pm_uncovered_vertex():
+    # sizes {5} take the pinning route; vertex 5 lies in no hyperedge
+    rotation = dict({v: ["i%d" % v] for v in range(5)},
+                    h=["i%d" % v for v in range(5)])
+    h = PlanarHypergraph(list(range(6)), [("h", list(range(5)))], rotation)
+    verdict, value = hypergraph_pm(h)
+    assert verdict.route == "eo"
+    assert value == ZERO == brute_hpm(h)
 
 
 def test_hypergraph_json_round_trip():
