@@ -13,8 +13,9 @@ The classes come in three layers:
   ``in_vanishing_*`` / ``in_R2`` are patterns of the image's support (its
   nonzero indices), and ``in_ZP`` / ``in_MhatDagger`` test the image itself;
 * one-signature transformable families P1 / A1 / A3 / M1 / M2 / M3,
-  decided square-root-free from a tensor decomposition via the bilinear
-  pairing <u, v> = u0 v0 + u1 v1 and the squared ratio beta^2.
+  decided square-root-free from the tensor decomposition each signature
+  keeps (``f.decomposition()``) via the bilinear pairing
+  <u, v> = u0 v0 + u1 v1 and the squared ratio beta^2.
 
 On top of these sit the framework deciders: ``dichotomy_binary_eq``,
 ``dichotomy_plcsp`` / ``dichotomy_plcsp2``, ``dichotomy_single``,
@@ -40,7 +41,6 @@ from .sigcalc import (
     exact_one,
     identity2,
     row_transform,
-    tensor_decompose,
     transform,
 )
 
@@ -306,13 +306,14 @@ class FamilyMemberships:
 def in_transformable_family(f):
     """Decide P1, A1, A3, M1, M2, M3 membership for a non-degenerate f.
 
-    Works from the order-2 tensor decomposition; every criterion is stated
-    through the pairing <u, v> and the square beta^2, so no square roots are
-    ever extracted.  Irrational decompositions yield all-false with a caveat.
+    Works from the order-2 tensor decomposition the signature keeps,
+    ``f.decomposition()``; every criterion is stated through the pairing
+    <u, v> and the square beta^2, so no square roots are ever extracted.
+    Irrational decompositions yield all-false with a caveat.
     """
     if f.arity < 3:
         raise ArityError("transformable families need arity >= 3")
-    d = tensor_decompose(f)
+    d = f.decomposition()
     if d.kind in ("zero", "degenerate"):
         raise ArityError("transformable families need a non-degenerate input")
     if d.kind == "irrational":
@@ -416,7 +417,7 @@ def _anchor_decompositions(F):
     out = []
     for f in F:
         if f.arity >= 3 and not f.is_zero():
-            d = tensor_decompose(f)
+            d = f.decomposition()
             if d.kind in ("distinct", "double"):
                 out.append((f, d))
     return out

@@ -3,14 +3,16 @@
 A symmetric signature of arity n is the list [f_0, ..., f_n] of values by
 input Hamming weight; it carries its Z image (Z^-1)^{tensor n} f, made on
 first use by ``zhat()``, whose ``support()`` (nonzero indices) decides the
-Z-side classes.  This module provides the derivative/integral calculus,
-holographic transforms T^{tensor n}, second-order recurrence analysis,
-vanishing degrees, arity-4 signature matrices, and exact two-term tensor
-decompositions.
+Z-side classes, and in the same way its order-2 tensor decomposition, made
+on first use by ``decomposition()``, from which the transformable families
+are read.  This module provides the derivative/integral calculus,
+holographic transforms T^{tensor n} in O(n^2) by Taylor shifts, second-order
+recurrence analysis, vanishing degrees, arity-4 signature matrices, and
+exact two-term tensor decompositions.
 """
 
 from fractions import Fraction
-from itertools import accumulate
+from functools import reduce
 from math import comb
 from operator import mul
 
@@ -22,7 +24,7 @@ class ArityError(ValueError):
 
 
 class SymmetricSignature:
-    __slots__ = ("entries", "_zhat")
+    __slots__ = ("entries", "_zhat", "_dec")
 
     def __init__(self, entries):
         es = tuple(AN(e) for e in entries)
@@ -30,6 +32,7 @@ class SymmetricSignature:
             raise ArityError("a signature needs at least one entry")
         self.entries = es
         self._zhat = None
+        self._dec = None
 
     @property
     def arity(self):
@@ -81,6 +84,13 @@ class SymmetricSignature:
         if self._zhat is None:
             self._zhat = transform(Z_INV, self)
         return self._zhat
+
+    def decomposition(self):
+        """The order-2 tensor decomposition ``tensor_decompose(self)``, computed
+        on first use and kept with the signature."""
+        if self._dec is None:
+            self._dec = tensor_decompose(self)
+        return self._dec
 
 
 def sig(entries):
@@ -213,30 +223,81 @@ H2 = Transform2x2(1, 1, 1, -1)
 Z_INV = Z.inverse()
 
 
+def _inverses(xs):
+    """1/x for each x in xs, all nonzero, from one field inversion."""
+    if not xs:
+        return []
+    w = reduce(mul, xs).inv()
+    return [reduce(mul, xs[:k] + xs[k + 1:], w) for k in range(len(xs))]
+
+
+def _scale(h, r):
+    """h_k *= r^k in place."""
+    if r != ONE:
+        p = ONE
+        for k in range(1, len(h)):
+            p = p * r
+            h[k] = h[k] * p
+
+
+def _shift(h):
+    """h <- U^{tensor n} h in place for the shear U = [[1, 1], [0, 1]]:
+    h_j <- sum_i C(n-j, i) h_{j+i}, by n(n+1)/2 additions.  This is the
+    Taylor shift by 1 of the binary form of h (see ``transform``)."""
+    for top in range(len(h) - 1, 0, -1):
+        for k in range(top):
+            h[k] = h[k] + h[k + 1]
+
+
 def transform(T, f):
     """The symmetric signature of T^{tensor n} f (column action).
 
-    Pinned by transform(T, u^{tensor n}) = (T u)^{tensor n}.  Entry m is
-    read off the assignment 1^m 0^{n-m} using binomial sums, O(n^2) field
-    products per entry over one table of the powers of T's entries.
+    Pinned by transform(T, u^{tensor n}) = (T u)^{tensor n}.  Read f as the
+    binary form P_f(x, y) = sum_k C(n,k) f_k x^{n-k} y^k; then P_{Tf}(x, y)
+    = P_f(t00 x + t10 y, t01 x + t11 y).  For t00 != 0 this substitution is a
+    Taylor shift by t01/t00 in y/x, the scaling y -> (det/t00) y, the
+    scaling x -> t00 x and a Taylor shift by t10/t00 in x/y.  A shift by c
+    is the scaling by c^k, the shift by 1 and the scaling back (von zur
+    Gathen and Gerhard, "Fast algorithms for Taylor shifts and certain
+    difference equations", ISSAC 1997); on the entries of f the shift by 1
+    is ``_shift``, additions with no binomials.  In all: O(n^2) additions,
+    O(n) products and at most one inversion, against O(n^3) products for
+    the binomial sum of each entry.  A zero t00 is moved away by swapping
+    the input variables (f reversed) or, when T's first row is zero, the
+    output variables (the result reversed).
     """
     n = f.arity
-    p00, p01, p10, p11 = (list(accumulate([x] * n, mul, initial=ONE))
-                          for x in (T.t00, T.t01, T.t10, T.t11))
-    out = []
-    for m in range(n + 1):
-        cls = [AN(comb(n - m, l)) * p00[n - m - l] * p01[l]
-               for l in range(n - m + 1)]
-        acc = ZERO
-        for j in range(m + 1):
-            cj = AN(comb(m, j)) * p10[m - j] * p11[j]
-            if cj.is_zero():
-                continue
-            for l, cl in enumerate(cls):
-                if not cl.is_zero():
-                    acc = acc + cj * cl * f[j + l]
-        out.append(acc)
-    return SymmetricSignature(out)
+    t00, t01, t10, t11 = T.t00, T.t01, T.t10, T.t11
+    h = list(f.entries)
+    swap_out = t00.is_zero() and t01.is_zero()
+    if swap_out:
+        t00, t01, t10, t11 = t10, t11, t00, t01
+    if t00.is_zero():
+        t00, t01, t10, t11 = t01, t00, t11, t10
+        h.reverse()
+    if t00.is_zero():
+        # T = 0, and 0^{tensor 0} = 1
+        return SymmetricSignature(h if n == 0 else [ZERO] * (n + 1))
+    shift_y, shift_x = not t01.is_zero(), not t10.is_zero()
+    inv = _inverses([t00, t01] * shift_y + [t10] * shift_x)
+    # P_f(X, Y) with Y = (t01/t00) X + (det/t00) y
+    if shift_y:
+        _scale(h, t01 * inv[0])
+        _shift(h)
+        _scale(h, (t00 * t11 - t01 * t10) * inv[1])
+    else:
+        _scale(h, t11)
+    # then X = t00 (x + (t10/t00) y), with the roles of x and y swapped
+    h.reverse()
+    if shift_x:
+        _scale(h, t10)
+        _shift(h)
+        _scale(h, t00 * inv[-1])
+    else:
+        _scale(h, t00)
+    if not swap_out:
+        h.reverse()
+    return SymmetricSignature(h)
 
 
 def row_transform(f, T):

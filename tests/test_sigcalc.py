@@ -1,10 +1,15 @@
+import random
 from fractions import Fraction
+from itertools import accumulate
+from math import comb
+from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from planar_holant.algebra import AN, AlgebraicNumber, I, ONE, ZERO, ZETA
 from planar_holant import sigcalc as sc
+from planar_holant.classify import dichotomy_plholant_set
 from planar_holant.sigcalc import (
     ArityError,
     GeneralSignature,
@@ -70,6 +75,28 @@ def transform_oracle(T, f):
         else:
             by_w[w] = out[y]
     return SymmetricSignature([by_w[k] for k in range(n + 1)])
+
+
+def transform_cubic(T, f):
+    """The binomial-sum formula: entry m is read off the assignment
+    1^m 0^{n-m}, O(n^2) products per entry over the powers of T's entries."""
+    n = f.arity
+    p00, p01, p10, p11 = (list(accumulate([x] * n, mul, initial=ONE))
+                          for x in (T.t00, T.t01, T.t10, T.t11))
+    out = []
+    for m in range(n + 1):
+        cls = [AN(comb(n - m, l)) * p00[n - m - l] * p01[l]
+               for l in range(n - m + 1)]
+        acc = ZERO
+        for j in range(m + 1):
+            cj = AN(comb(m, j)) * p10[m - j] * p11[j]
+            if cj.is_zero():
+                continue
+            for l, cl in enumerate(cls):
+                if not cl.is_zero():
+                    acc = acc + cj * cl * f[j + l]
+        out.append(acc)
+    return SymmetricSignature(out)
 
 
 def orth(t):
@@ -150,6 +177,7 @@ def test_transform_matches_oracle(f):
 
 
 @given(sig_strategy(max_arity=5), st.tuples(small_an, small_an))
+@settings(suppress_health_check=[HealthCheck.too_slow])
 def test_transform_degenerate_law(f, u):
     T = Transform2x2(2, -1, 3, 1)
     n = f.arity
@@ -162,6 +190,68 @@ def test_transform_composition(f):
     T2 = Transform2x2(0, 1, 1, I)
     assert transform(T1, transform(T2, f)) == transform(T1 @ T2, f)
     assert transform(identity2(), f) == f
+
+
+# integer entries over a few denominators: cheap to draw at arity 40
+wide_an = st.builds(lambda c, d: AlgebraicNumber(*(Fraction(x, d) for x in c)),
+                    st.tuples(*[st.integers(-9, 9)] * 4), st.sampled_from([1, 2, 3]))
+matrix_entry = st.sampled_from([ZERO, ONE, -ONE, I]) | small_an
+
+
+@given(st.integers(0, 40).flatmap(
+    lambda n: st.lists(wide_an, min_size=n + 1, max_size=n + 1)),
+    st.tuples(*[matrix_entry] * 4))
+@settings(max_examples=40, deadline=None)
+def test_transform_matches_cubic_formula(entries, t):
+    f = SymmetricSignature(entries)
+    T = Transform2x2(*t)
+    assert transform(T, f) == transform_cubic(T, f)
+
+
+def _seeded_matrices(rnd):
+    def entry():
+        return AN(Fraction(rnd.randint(-7, 7), rnd.randint(1, 4))) \
+            + AN(rnd.randint(-3, 3)) * ZETA
+    a, b, c = entry(), entry(), entry()
+    return {
+        "Z": Z, "Z_INV": Z_INV, "H2": H2, "swap": Transform2x2(0, 1, 1, 0),
+        "random": Transform2x2(entry(), entry(), entry(), entry()),
+        "t00 = 0": Transform2x2(0, a, b, c),
+        "t00 = t01 = 0": Transform2x2(0, 0, a, b),
+        "first row and t11 zero": Transform2x2(0, 0, a, 0),
+        "singular": Transform2x2(a, b, a * c, b * c),
+        "singular, t00 = 0": Transform2x2(0, a, 0, b),
+        "zero": Transform2x2(0, 0, 0, 0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_seeded_matrices(random.Random(0))))
+def test_transform_matches_cubic_formula_on_seeded_matrices(name):
+    rnd = random.Random(name)
+    for n in list(range(13)) + [20, 31]:
+        T = _seeded_matrices(rnd)[name]
+        f = SymmetricSignature(
+            [AN(Fraction(rnd.randint(-9, 9), rnd.randint(1, 3)))
+             + AN(rnd.randint(-2, 2)) * I if rnd.random() < 0.8 else ZERO
+             for _ in range(n + 1)])
+        assert transform(T, f) == transform_cubic(T, f), (name, n)
+
+
+def test_transform_inverts_at_most_once(monkeypatch):
+    calls = []
+    inv = AlgebraicNumber.inv
+
+    def counted(x):
+        calls.append(x)
+        return inv(x)
+
+    monkeypatch.setattr(AlgebraicNumber, "inv", counted)
+    matrices = _seeded_matrices(random.Random(2))
+    f = sig(range(1, 10))
+    for name, T in matrices.items():
+        calls.clear()
+        transform(T, f)
+        assert len(calls) <= 1, name
 
 
 def test_z_matrices():
@@ -319,6 +409,43 @@ def test_decompose_irrational():
 
 def test_decompose_none():
     assert tensor_decompose(sig([1, 2, 3, 4, 0])).kind == "none"
+
+
+def test_decomposition_is_kept_with_the_signature():
+    f = sig([1, 0, 0, 0, 7])
+    assert f.decomposition() is f.decomposition()
+    for f, kind in ((sig([1, 0, 0, 0, 7]), "distinct"),
+                    (exact_one(5), "double"),
+                    (degenerate([2, 3], 4), "degenerate"),
+                    (sig([0, 0, 0]), "zero")):
+        d = f.decomposition()
+        assert d.kind == kind
+        assert d.expand() == f
+
+
+def test_dichotomy_decomposes_each_signature_once(monkeypatch):
+    calls = []
+    decompose = sc.tensor_decompose
+
+    def counted(f):
+        calls.append(f)
+        return decompose(f)
+
+    monkeypatch.setattr(sc, "tensor_decompose", counted)
+    sets = [
+        # a P1 anchor tried against the A, P and M routes
+        [sig([1, 0, 0, 7]), sig([1, 0, 0, 0, 7])],
+        [transform(orth(2), sig([1, 0, 0, 5])), transform(orth(2), sig([1, 0, 0, 0, 3]))],
+        [sig([1, 0, 1, 0]), sig([1, 1, 0, 0]), sig([2, 0, 2, 0])],
+        [exact_one(5), transform(orth(3), exact_one(4))],
+        [transform(Z, equality(5)), transform(Z, exact_one(3))],
+        [sig([1, 1, 2, 3]), sig([1, 2, 3, 4, 0])],
+    ]
+    for F in sets:
+        calls.clear()
+        dichotomy_plholant_set(F)
+        assert calls
+        assert all(sum(g is f for g in calls) == 1 for f in calls), F
 
 
 @given(st.tuples(small_an, small_an), st.tuples(small_an, small_an),
