@@ -567,7 +567,7 @@ def classify_signature(f):
     for name in ("P1", "A1", "A3", "M1", "M2", "M3"):
         table[name] = False
     table["caveat"] = False
-    if f.arity >= 3 and not is_degenerate(f):
+    if f.arity >= 3 and not table["degenerate"]:
         fam = in_transformable_family(f)
         table.update({"P1": fam.p1, "A1": fam.a1, "A3": fam.a3,
                       "M1": fam.m1, "M2": fam.m2 or table["P2"],
@@ -678,9 +678,10 @@ def dichotomy_plholant_set(F):
 def _plholant_verdict(F):
     # a nonzero constant (arity 0) only scales the Holant
     sigs = [f for f in F if f.arity and not f.is_zero()]
-    nd3 = [f for f in sigs if f.arity >= 3 and not is_degenerate(f)]
-    binaries = [f for f in sigs if f.arity == 2 and not is_degenerate(f)]
-    degs = [f for f in sigs if is_degenerate(f)]
+    # one degeneracy test per member; the rest have arity >= 2
+    nd3, binaries, degs = [], [], []
+    for f in sigs:
+        (degs if is_degenerate(f) else nd3 if f.arity >= 3 else binaries).append(f)
     if not nd3:
         return SetVerdict("plholant", True,
                           case="all non-degenerate arity <= 2 (case 1)")

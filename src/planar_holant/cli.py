@@ -25,7 +25,7 @@ from .grid import (
 )
 from .classify import (
     Witness, classify_signature, in_transformable_family,
-    is_degenerate, in_P, in_A, in_Adagger, in_matchgate, in_Mhat,
+    in_P, in_A, in_Adagger, in_matchgate, in_Mhat,
     in_MhatDagger, in_M4_plus, in_M4_minus, in_vanishing_plus,
     in_vanishing_minus, dichotomy_binary_eq, dichotomy_plcsp,
     dichotomy_plcsp2, dichotomy_single, dichotomy_plholant_set,
@@ -120,7 +120,7 @@ def cmd_classify(args):
     for name, f in sigs.items():
         table = dict(classify_signature(f))
         witnesses = {}
-        if f.arity >= 3 and not is_degenerate(f):
+        if f.arity >= 3 and not table["degenerate"]:
             fam = in_transformable_family(f)
             witnesses = {k: witness_json(w) for k, w in fam.witness.items()}
         per_sig[name] = {"classes": table, "witnesses": witnesses}

@@ -7,12 +7,14 @@ Z-side classes, and in the same way its order-2 tensor decomposition, made
 on first use by ``decomposition()``, from which the transformable families
 are read.  This module provides the derivative/integral calculus,
 holographic transforms T^{tensor n} in O(n^2) by Taylor shifts, second-order
-recurrence analysis, vanishing degrees, arity-4 signature matrices, and
-exact two-term tensor decompositions.
+recurrences from the closed-form kernel of the rows (f_k, f_{k+1}, f_{k+2}),
+exact two-term tensor decompositions read from the first recurrence triple,
+vanishing degrees and arity-4 signature matrices.
 """
 
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate, combinations
 from math import comb
 from operator import mul
 
@@ -131,25 +133,22 @@ def gen_eq(a, b, k):
 
 
 def degenerate(u, k):
-    """u^{tensor k} for a unary u = [u0, u1]."""
-    if k < 1:
-        raise ArityError("degenerate needs arity >= 1")
-    u0, u1 = AN(u[0]), AN(u[1])
-    return SymmetricSignature([u0 ** (k - j) * u1 ** j for j in range(k + 1)])
+    """u^{tensor k} for a unary u = [u0, u1]; u^{tensor 0} = [1]."""
+    if k < 0:
+        raise ArityError("degenerate needs arity >= 0")
+    p0, p1 = (list(accumulate([AN(x)] * k, mul, initial=ONE)) for x in u)
+    return SymmetricSignature([p0[k - j] * p1[j] for j in range(k + 1)])
 
 
 def sym_n_n1(u, v, n):
-    """Sym_n^{n-1}(u; v): n-1 copies of u and one v, symmetrized."""
-    u0, u1, v0, v1 = AN(u[0]), AN(u[1]), AN(v[0]), AN(v[1])
-    out = []
-    for k in range(n + 1):
-        t = ZERO
-        if k >= 1:
-            t = t + AN(k) * v1 * u1 ** (k - 1) * u0 ** (n - k)
-        if k <= n - 1:
-            t = t + AN(n - k) * v0 * u0 ** (n - k - 1) * u1 ** k
-        out.append(t)
-    return SymmetricSignature(out)
+    """Sym_n^{n-1}(u; v): n-1 copies of u and one v, symmetrized; entry k is
+    k v1 u0^{n-k} u1^{k-1} + (n-k) v0 u0^{n-k-1} u1^k."""
+    p0, p1 = (list(accumulate([AN(x)] * n, mul, initial=ONE)) for x in u)
+    v0, v1 = AN(v[0]), AN(v[1])
+    return SymmetricSignature(
+        [(AN(k) * v1 * p1[k - 1] * p0[n - k] if k else ZERO)
+         + (AN(n - k) * v0 * p0[n - k - 1] * p1[k] if k < n else ZERO)
+         for k in range(n + 1)])
 
 
 # -- 2x2 transforms -------------------------------------------------------
@@ -348,40 +347,32 @@ def integral(fp):
 
 # -- recurrence analysis ---------------------------------------------------
 
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
 def _null_space(rows):
-    """Exact null-space basis of a matrix given as a list of rows."""
-    cols = len(rows[0]) if rows else 0
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for rr in range(r, len(mat)):
-            if not mat[rr][c].is_zero():
-                pr = rr
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = mat[r][c].inv()
-        mat[r] = [x * inv for x in mat[r]]
-        for rr in range(len(mat)):
-            if rr != r and not mat[rr][c].is_zero():
-                fac = mat[rr][c]
-                mat[rr] = [x - fac * y for x, y in zip(mat[rr], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [ZERO] * cols
-        vec[fc] = ONE
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -mat[ri][fc]
-        basis.append(vec)
-    return basis
+    """Exact null-space basis of an m x 3 matrix given as its rows, in closed
+    form: the unit vectors at rank 0; at rank 1, for the first nonzero row w
+    and its first nonzero entry w_c, e_j - (w_j / w_c) e_c for each j != c; at
+    rank 2 the cross product of the first two independent rows, scaled so its
+    last nonzero entry is 1; [] at rank 3.  This is the basis Gauss-Jordan
+    elimination reads off its free columns, in the same order."""
+    unit = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
+    w = next((r for r in rows if any(not x.is_zero() for x in r)), None)
+    if w is None:
+        return unit
+    k = next((k for k in (_cross(w, r) for r in rows)
+              if any(not x.is_zero() for x in k)), None)
+    if k is None:
+        c = next(j for j in range(3) if not w[j].is_zero())
+        s = -w[c].inv()
+        return [e[:c] + [w[j] * s] + e[c + 1:] for j, e in enumerate(unit) if j != c]
+    if any(not (r[0] * k[0] + r[1] * k[1] + r[2] * k[2]).is_zero() for r in rows):
+        return []
+    s = next(x for x in reversed(k) if not x.is_zero()).inv()
+    return [[x * s for x in k]]
 
 
 class RecurrenceType:
@@ -562,77 +553,33 @@ class TensorDecomposition:
         raise ValueError("no expansion for kind %r" % self.kind)
 
 
-def _solve_pair(f, p, q, expand):
+def _solve_pair(f, p, q):
     """(x, y) with f = x p + y q, solved on the first two independent entries
-    and kept only when expand(x, y) == f; else None."""
-    n = f.arity
-    for k1 in range(n + 1):
-        for k2 in range(k1 + 1, n + 1):
-            d = p[k1] * q[k2] - p[k2] * q[k1]
-            if d.is_zero():
-                continue
+    and kept only when the equation holds on every entry; else None."""
+    for k1, k2 in combinations(range(len(f)), 2):
+        d = p[k1] * q[k2] - p[k2] * q[k1]
+        if not d.is_zero():
             x = (f[k1] * q[k2] - f[k2] * q[k1]) / d
             y = (p[k1] * f[k2] - p[k2] * f[k1]) / d
-            return (x, y) if expand(x, y) == f else None
+            return (x, y) if p.scale(x) + q.scale(y) == f else None
     return None
-
-
-def _solve_distinct_weights(f, u, v):
-    """x, y with f = x u^n + y v^n, or None."""
-    pu, pv = degenerate(u, f.arity), degenerate(v, f.arity)
-    return _solve_pair(f, pu, pv, lambda x, y: pu.scale(x) + pv.scale(y))
-
-
-def _solve_double(f, u):
-    """v with f = Sym_n^{n-1}(u; v), or None."""
-    n = f.arity
-    u0, u1 = u
-    # coefficients of v0 and v1 in each entry
-    a = [AN(n - k) * u0 ** (n - k - 1) * u1 ** k if k <= n - 1 else ZERO
-         for k in range(n + 1)]
-    b = [AN(k) * u1 ** (k - 1) * u0 ** (n - k) if k >= 1 else ZERO
-         for k in range(n + 1)]
-    return _solve_pair(f, a, b, lambda v0, v1: sym_n_n1(u, (v0, v1), n))
 
 
 def _roots_of_triple(p, q, r):
-    """Projective roots of p X^2 + q XY + r Y^2 as directions [X:Y].
-
-    Returns ("distinct", u, v), ("double", u) or ("irrational",).
-    """
-    if not r.is_zero():
-        disc = q * q - AN(4) * p * r
-        if disc.is_zero():
-            lam = -q / (AN(2) * r)
-            return ("double", (ONE, lam))
-        s = sqrt_in_field(disc)
-        if s is None:
-            return ("irrational",)
-        l1 = (-q + s) / (AN(2) * r)
-        l2 = (-q - s) / (AN(2) * r)
-        return ("distinct", (ONE, l1), (ONE, l2))
-    if not q.is_zero():
-        # X * (p X + q Y): roots [0:1] and [q:-p]
+    """Projective roots of the nonzero form p X^2 + q XY + r Y^2 as directions
+    [X:Y]: ("distinct", u, v), ("double", u) or ("irrational",)."""
+    if r.is_zero():
+        # X * (p X + q Y): roots [0:1] and [q:-p], double when q = 0
+        if q.is_zero():
+            return ("double", (ZERO, ONE))
         return ("distinct", (ZERO, ONE), (ONE, -p / q))
-    if not p.is_zero():
-        return ("double", (ZERO, ONE))
-    return ("irrational",)  # zero triple carries no information
-
-
-def _try_decompose_with_triple(f, triple):
-    p, q, r = triple
-    roots = _roots_of_triple(p, q, r)
-    if roots[0] == "distinct":
-        u, v = roots[1], roots[2]
-        w = _solve_distinct_weights(f, u, v)
-        if w is not None:
-            return TensorDecomposition("distinct", f.arity, u=u, v=v, x=w[0], y=w[1])
-    elif roots[0] == "double":
-        u = roots[1]
-        v = _solve_double(f, u)
-        if v is not None:
-            return TensorDecomposition("double", f.arity, u=u, v=v)
-    return None
+    disc, two_r = q * q - AN(4) * p * r, AN(2) * r
+    if disc.is_zero():
+        return ("double", (ONE, -q / two_r))
+    s = sqrt_in_field(disc)
+    if s is None:
+        return ("irrational",)
+    return ("distinct", (ONE, (-q + s) / two_r), (ONE, (-q - s) / two_r))
 
 
 def _degenerate_form(f):
@@ -654,26 +601,34 @@ def _degenerate_form(f):
 
 
 def tensor_decompose(f):
+    """The order-2 tensor decomposition of f (see ``TensorDecomposition``).
+
+    Past the zero and degenerate kinds, the roots [X:Y] of p X^2 + q XY +
+    r Y^2 for the first triple with p f_k + q f_{k+1} + r f_{k+2} = 0 give
+    f = x u^{tensor n} + y v^{tensor n} or, for a double root u, f =
+    Sym_n^{n-1}(u; v), solved and checked exactly.  One triple suffices: a
+    non-degenerate f of arity >= 3 has at most one up to scale (triple rows
+    of rank <= 1 make f degenerate), and at arity 2 the first one decomposes.
+    """
     n = f.arity
     if f.is_zero():
         return TensorDecomposition("zero", n)
     deg = _degenerate_form(f)
     if deg is not None:
         return TensorDecomposition("degenerate", n, u=deg[1], c=deg[0])
-    rows = [(f[k], f[k + 1], f[k + 2]) for k in range(n - 1)]
-    basis = _null_space(rows)
+    basis = _null_space([(f[k], f[k + 1], f[k + 2]) for k in range(n - 1)])
     if not basis:
         return TensorDecomposition("none", n)
-    candidates = [tuple(v) for v in basis]
-    if len(basis) >= 2:
-        b0, b1 = basis[0], basis[1]
-        for t in range(-3, 7):
-            candidates.append(tuple(x + AN(t) * y for x, y in zip(b0, b1)))
-    saw_irrational = False
-    for cand in candidates:
-        dec = _try_decompose_with_triple(f, cand)
-        if dec is not None:
-            return dec
-        if _roots_of_triple(*cand)[0] == "irrational":
-            saw_irrational = True
-    return TensorDecomposition("irrational" if saw_irrational else "none", n)
+    roots = _roots_of_triple(*basis[0])
+    if roots[0] == "irrational":
+        return TensorDecomposition("irrational", n)
+    u = roots[1]
+    if roots[0] == "distinct":
+        w = _solve_pair(f, degenerate(u, n), degenerate(roots[2], n))
+        if w is not None:
+            return TensorDecomposition("distinct", n, u=u, v=roots[2], x=w[0], y=w[1])
+    else:
+        v = _solve_pair(f, sym_n_n1(u, (ONE, ZERO), n), sym_n_n1(u, (ZERO, ONE), n))
+        if v is not None:
+            return TensorDecomposition("double", n, u=u, v=v)
+    return TensorDecomposition("none", n)

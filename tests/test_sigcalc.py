@@ -7,9 +7,9 @@ from operator import mul
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from planar_holant.algebra import AN, AlgebraicNumber, I, ONE, ZERO, ZETA
+from planar_holant.algebra import AN, AlgebraicNumber, I, ONE, ZERO, ZETA, sqrt_in_field
 from planar_holant import sigcalc as sc
-from planar_holant.classify import dichotomy_plholant_set
+from planar_holant.classify import dichotomy_plholant_set, is_degenerate
 from planar_holant.sigcalc import (
     ArityError,
     GeneralSignature,
@@ -460,3 +460,203 @@ def test_decompose_round_trip(u, v, x, y, n):
     d = tensor_decompose(f)
     assert d.kind in ("zero", "degenerate", "distinct", "double")
     assert d.expand() == f
+
+
+# -- reference: the elimination kernel and the candidate-search decomposition --
+
+def null_space_elimination(rows):
+    """Null-space basis by Gauss-Jordan elimination over the field, one
+    vector per free column."""
+    cols = len(rows[0]) if rows else 0
+    mat = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((rr for rr in range(r, len(mat)) if not mat[rr][c].is_zero()),
+                  None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = mat[r][c].inv()
+        mat[r] = [x * inv for x in mat[r]]
+        for rr in range(len(mat)):
+            if rr != r and not mat[rr][c].is_zero():
+                fac = mat[rr][c]
+                mat[rr] = [x - fac * y for x, y in zip(mat[rr], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [ZERO] * cols
+        vec[fc] = ONE
+        for ri, pc in enumerate(pivots):
+            vec[pc] = -mat[ri][fc]
+        basis.append(vec)
+    return basis
+
+
+def roots_of_triple_reference(p, q, r):
+    if not r.is_zero():
+        disc = q * q - AN(4) * p * r
+        if disc.is_zero():
+            return ("double", (ONE, -q / (AN(2) * r)))
+        s = sqrt_in_field(disc)
+        if s is None:
+            return ("irrational",)
+        return ("distinct", (ONE, (-q + s) / (AN(2) * r)),
+                (ONE, (-q - s) / (AN(2) * r)))
+    if not q.is_zero():
+        return ("distinct", (ZERO, ONE), (ONE, -p / q))
+    if not p.is_zero():
+        return ("double", (ZERO, ONE))
+    return ("irrational",)
+
+
+def solve_pair_reference(f, p, q, expand):
+    n = f.arity
+    for k1 in range(n + 1):
+        for k2 in range(k1 + 1, n + 1):
+            d = p[k1] * q[k2] - p[k2] * q[k1]
+            if d.is_zero():
+                continue
+            x = (f[k1] * q[k2] - f[k2] * q[k1]) / d
+            y = (p[k1] * f[k2] - p[k2] * f[k1]) / d
+            return (x, y) if expand(x, y) == f else None
+    return None
+
+
+def decompose_with_triple_reference(f, triple):
+    n = f.arity
+    roots = roots_of_triple_reference(*triple)
+    if roots[0] == "distinct":
+        u, v = roots[1], roots[2]
+        pu, pv = degenerate(u, n), degenerate(v, n)
+        w = solve_pair_reference(f, pu, pv, lambda x, y: pu.scale(x) + pv.scale(y))
+        if w is not None:
+            return sc.TensorDecomposition("distinct", n, u=u, v=v, x=w[0], y=w[1])
+    elif roots[0] == "double":
+        u0, u1 = u = roots[1]
+        a = [AN(n - k) * u0 ** (n - k - 1) * u1 ** k if k <= n - 1 else ZERO
+             for k in range(n + 1)]
+        b = [AN(k) * u1 ** (k - 1) * u0 ** (n - k) if k >= 1 else ZERO
+             for k in range(n + 1)]
+        v = solve_pair_reference(f, a, b, lambda v0, v1: sym_n_n1(u, (v0, v1), n))
+        if v is not None:
+            return sc.TensorDecomposition("double", n, u=u, v=v)
+    return None
+
+
+def tensor_decompose_search(f):
+    """The decomposition by candidate search: every kernel basis triple and,
+    for a kernel of dimension >= 2, the combinations b0 + t b1, t in -3..6."""
+    n = f.arity
+    if f.is_zero():
+        return sc.TensorDecomposition("zero", n)
+    deg = sc._degenerate_form(f)
+    if deg is not None:
+        return sc.TensorDecomposition("degenerate", n, u=deg[1], c=deg[0])
+    basis = null_space_elimination([(f[k], f[k + 1], f[k + 2])
+                                    for k in range(n - 1)])
+    if not basis:
+        return sc.TensorDecomposition("none", n)
+    candidates = [tuple(v) for v in basis]
+    if len(basis) >= 2:
+        candidates += [tuple(x + AN(t) * y for x, y in zip(basis[0], basis[1]))
+                       for t in range(-3, 7)]
+    saw_irrational = False
+    for cand in candidates:
+        dec = decompose_with_triple_reference(f, cand)
+        if dec is not None:
+            return dec
+        saw_irrational |= roots_of_triple_reference(*cand)[0] == "irrational"
+    return sc.TensorDecomposition("irrational" if saw_irrational else "none", n)
+
+
+def assert_matches_references(f):
+    new, ref = tensor_decompose(f), tensor_decompose_search(f)
+    fields = ("kind", "u", "v", "x", "y", "c", "arity")
+    assert [getattr(new, a) for a in fields] == [getattr(ref, a) for a in fields], f
+    if f.arity >= 2:
+        r = recurrence_analysis(f)
+        basis = null_space_elimination([(f[k], f[k + 1], f[k + 2])
+                                        for k in range(f.arity - 1)])
+        assert r.rank == 3 - len(basis), f
+        assert r.basis == [(v[0], -v[1], v[2]) for v in basis], f
+
+
+unary = st.tuples(small_an, small_an)
+sparse_sig = st.integers(0, 12).flatmap(
+    lambda n: st.lists(st.sampled_from([0, 1, -1, 2]), min_size=n + 1,
+                       max_size=n + 1).map(sig))
+two_powers = st.builds(
+    lambda u, v, x, y, n: degenerate(u, n).scale(x) + degenerate(v, n).scale(y),
+    unary, unary, small_an, small_an, st.integers(0, 12))
+sym_sig = st.builds(sym_n_n1, unary, unary, st.integers(0, 12))
+any_sig = sig_strategy(0, 12) | sparse_sig | two_powers | sym_sig
+
+
+@given(any_sig)
+@settings(max_examples=200, deadline=None)
+def test_decomposition_matches_candidate_search(f):
+    assert_matches_references(f)
+
+
+SEEDED_DECOMPOSITIONS = [
+    # all-zero rows, rank 1, rank 3
+    sig([0, 0, 0]), sig([0, 0, 0, 0, 0]), sig([1, 0, 0]), sig([0, 0, 3]),
+    sig([1, 2, 4, 8]), degenerate([2, 3], 6), sig([1, 2, 3, 4, 0]),
+    # binaries, constants and unaries
+    sig([1, 3, 1]), sig([0, 1, 0]), sig([0, 1, 5]), sig([2, 0, 0]),
+    sig([1, 1, 2]), sig([1, I, 1]), sig([5]), sig([0]), sig([I]),
+    sig([1, 2]), sig([0, 3]),
+    # exact-one, all-but-one, equalities, Z images, a double root
+    *(exact_one(k) for k in range(1, 7)), *(all_but_one(k) for k in (3, 6)),
+    *(gen_eq(1, 5, k) for k in range(2, 7)), gen_eq(2, -3, 9),
+    transform(Z, equality(5)), transform(Z, exact_one(3)),
+    sym_n_n1((1, 2), (3, 1), 5), sym_n_n1((0, 1), (1, 1), 4),
+    # Fibonacci type: the roots leave the field
+    sig([1, 1, 2, 3]), sig([1, 1, 2, 3, 5, 8]),
+]
+
+
+@pytest.mark.parametrize("f", SEEDED_DECOMPOSITIONS, ids=repr)
+def test_decomposition_matches_candidate_search_on_seeded_signatures(f):
+    assert_matches_references(f)
+
+
+def test_seeded_decompositions_cover_every_kind():
+    kinds = {tensor_decompose(f).kind for f in SEEDED_DECOMPOSITIONS}
+    assert kinds == {"zero", "degenerate", "distinct", "double", "irrational",
+                     "none"}
+    ranks = {recurrence_analysis(f).rank for f in SEEDED_DECOMPOSITIONS
+             if f.arity >= 2}
+    assert ranks == {0, 1, 2, 3}
+
+
+# -- the one-triple invariant ----------------------------------------------------
+
+@given(any_sig.filter(lambda f: f.arity >= 3))
+@settings(max_examples=100, deadline=None)
+def test_non_degenerate_signature_has_at_most_one_triple(f):
+    if not is_degenerate(f):
+        assert len(recurrence_analysis(f).basis) <= 1
+
+
+@given(st.lists(small_an | st.sampled_from([ZERO, ONE, -ONE, I]),
+                min_size=3, max_size=3).map(sig))
+def test_non_degenerate_binary_decomposes(f):
+    if not is_degenerate(f):
+        d = tensor_decompose(f)
+        assert d.kind in ("distinct", "double")
+        assert d.expand() == f
+
+
+def test_constants_expand():
+    assert degenerate([2, 3], 0) == sig([1])
+    for c in (5, 0, I, Fraction(-1, 2)):
+        f = sig([c])
+        assert tensor_decompose(f).expand() == f
+        assert f.decomposition().expand() == f
+    assert sig([5]).decomposition().kind == "degenerate"
