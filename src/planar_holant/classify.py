@@ -37,10 +37,8 @@ from .sigcalc import (
     Z_INV,
     _degenerate_form,
     diag,
-    equality,
     exact_one,
     identity2,
-    row_transform,
     transform,
 )
 
@@ -392,9 +390,9 @@ def _rational_nth_root(r, n):
 
 
 def nth_roots_in_field(w, n):
-    """All field elements of the form q * sqrt2^e * zeta^j whose n-th power
-    is w.  This covers every case arising from the harvested candidates;
-    roots of other shapes are outside the search (best effort)."""
+    """The field elements q * sqrt2^e * zeta^j (q rational) whose n-th power
+    is w.  Best effort: roots of other shapes are missed, such as
+    (119 + 120 i)/169 for n = 3, and a set whose witness needs one is PHard."""
     roots = []
     if w.is_zero():
         return roots
@@ -414,13 +412,10 @@ def nth_roots_in_field(w, n):
 
 def _anchor_decompositions(F):
     """Order-2 decompositions of the non-degenerate arity >= 3 signatures."""
-    out = []
     for f in F:
-        if f.arity >= 3 and not f.is_zero():
-            d = f.decomposition()
-            if d.kind in ("distinct", "double"):
-                out.append((f, d))
-    return out
+        if f.arity >= 3 and not f.is_zero() \
+                and f.decomposition().kind in ("distinct", "double"):
+            yield f, f.decomposition()
 
 
 def _distinct_anchors(F):
@@ -432,65 +427,74 @@ def _distinct_anchors(F):
             yield u, v, _pair(u, u), _pair(u, v), _pair(v, v)
 
 
+def _one_per_coset(xs, units):
+    """The xs in order, less None, zero and each unit multiple of an
+    earlier one."""
+    seen = set()
+    for x in xs:
+        if x is not None and not x.is_zero() and x not in seen:
+            seen.update(x * c for c in units)
+            yield x
+
+
+def _first_witness(in_class, F, candidates):
+    """The first candidate T with every T^-1 g (g in F) in the class."""
+    for T in candidates:
+        S = T.inverse()
+        if all(in_class(transform(S, g)) for g in F):
+            return T
+    return None
+
+
 def p_transformable(F):
     """A transform T with (=_2) T^{tensor 2} in P and F within T P, or None."""
     if all(in_P(f) for f in F):
         return identity2()
+    return _first_witness(in_P, F, (
+        Transform2x2(u[0], v[0], u[1], v[1])
+        for u, v, uu, uv, vv in _distinct_anchors(F)
+        if (uv.is_zero() and not uu.is_zero() and not vv.is_zero())
+        or (uu.is_zero() and vv.is_zero() and not uv.is_zero())))
+
+
+def _a_candidates(F):
+    """The transforms a_transformable tries, one per coset T diag(1, i^k):
+    A is fixed by diag(1, i), so T and T diag(1, i^k) move F into A alike.
+
+    Each has (=_2) T^{tensor 2} in A, so that is not checked.  For
+    T = [u | tau v] it is [<u,u>, tau <u,v>, tau^2 <v,v>]:
+    * A1 anchor, <u,v> = 0 and tau^2 = i^r <u,u>/<v,v>: <u,u> [1, 0, i^r];
+    * A3 anchor, <u,v>^2 = -<u,u><v,v> and tau = i^r <u,u>/<u,v>:
+      <u,u> [1, i^r, -i^2r];
+    * P2 anchor, T = Z diag(1, delta): [0, 2 delta, 0].
+    The cosets leave r in {0, 1} and one sign of tau for A1, r = 0 for A3,
+    and one delta per coset delta i^k for all P2 anchors together.
+    """
+    # delta^n from the weighted equalities in the Z basis; one lazy pass,
+    # as Z diag(1, delta) does not depend on which P2 anchor asks for it
+    deltas = _one_per_coset(
+        (d for g in F if in_P2(g) for r in range(4)
+         for t in (g.zhat()[-1] / g.zhat()[0], g.zhat()[0] / g.zhat()[-1])
+         for d in nth_roots_in_field(t * I ** r, g.arity)), _I_POWERS)
     for u, v, uu, uv, vv in _distinct_anchors(F):
-        legit = (uv.is_zero() and not uu.is_zero() and not vv.is_zero()) or \
-            (uu.is_zero() and vv.is_zero() and not uv.is_zero())
-        if not legit:
-            continue
-        T = Transform2x2(u[0], v[0], u[1], v[1])
-        S = T.inverse()
-        if all(in_P(transform(S, g)) for g in F):
-            return T
-    return None
+        base = Transform2x2(u[0], v[0], u[1], v[1])
+        if uu.is_zero() and vv.is_zero() and not uv.is_zero():
+            for delta in deltas:
+                yield Z @ diag(1, delta)
+        elif uv.is_zero() and not (uu.is_zero() or vv.is_zero()):
+            for r in (0, 1):
+                tau = sqrt_in_field(uu / vv * I ** r)
+                if tau is not None and not tau.is_zero():
+                    yield base @ diag(1, tau)
+        elif not uv.is_zero() and uv * uv == -(uu * vv):
+            yield base @ diag(1, uu / uv)
 
 
 def a_transformable(F):
     """A transform T with (=_2) T^{tensor 2} in A and F within T A, or None."""
     if all(in_A(f) for f in F):
         return identity2()
-    for u, v, uu, uv, vv in _distinct_anchors(F):
-        taus = []
-        if uu.is_zero() and vv.is_zero() and not uv.is_zero():
-            # P2-type anchor: T = Z diag(1, delta); harvest delta from the
-            # weighted-equality forms in the set
-            deltas = []
-            for g in F:
-                if g.is_zero() or not in_P2(g):
-                    continue
-                a, b = g.zhat()[0], g.zhat()[-1]
-                for r in range(4):
-                    for target in (b / a * I ** r, a / b * I ** r):
-                        deltas.extend(nth_roots_in_field(target, g.arity))
-            for delta in deltas:
-                T = Z @ diag(1, delta)
-                S = T.inverse()
-                if all(in_A(transform(S, g)) for g in F):
-                    return T
-            continue
-        if uu.is_zero() or vv.is_zero():
-            continue
-        if uv.is_zero():
-            # A1-type anchor: tau^2 = i^r <u,u>/<v,v>
-            for r in range(4):
-                s = sqrt_in_field(uu / vv * I ** r)
-                if s is not None and not s.is_zero():
-                    taus.extend([s, -s])
-        if not uv.is_zero() and uv * uv == -(uu * vv):
-            # A3-type anchor: tau = i^r <u,u>/<u,v>
-            taus.extend(uu / uv * I ** r for r in range(4))
-        base = Transform2x2(u[0], v[0], u[1], v[1])
-        for tau in taus:
-            T = base @ diag(1, tau)
-            if not in_A(row_transform(equality(2), T)):
-                continue
-            S = T.inverse()
-            if all(in_A(transform(S, g)) for g in F):
-                return T
-    return None
+    return _first_witness(in_A, F, _a_candidates(F))
 
 
 def m_transformable(F):
@@ -499,33 +503,25 @@ def m_transformable(F):
     By the characterization of matchgate transformability it suffices to try
     T = Z and T = H for H in SO_2; the latter diagonalize in the Z basis as
     Z diag(mu, 1/mu) Z^-1, so only kappa = mu^2 matters and the candidates
-    are harvested from the anchors' decompositions.
+    are harvested from the anchors' decompositions.  M is fixed by
+    Z diag(1, -1) Z^-1 = [[0, -i], [i, 0]], so kappa is tried up to sign.
     """
     if all(in_ZM(f) for f in F):
         return Z
     kappas = []
     for f, d in _anchor_decompositions(F):
-        p, q = Z_INV.apply(d.u)
+        (p, q), (pp, qq) = Z_INV.apply(d.u), Z_INV.apply(d.v)
         if d.kind == "double":
-            if not q.is_zero():
-                kappas.extend([p / q, -(p / q)])
-            continue
-        pp, qq = Z_INV.apply(d.v)
-        if not (p.is_zero() or q.is_zero() or pp.is_zero() or qq.is_zero()):
-            s = sqrt_in_field(p * pp / (q * qq))
-            if s is not None and not s.is_zero():
-                kappas.extend([s, -s])
+            kappas.append(None if q.is_zero() else p / q)
+        elif not any(x.is_zero() for x in (p, q, pp, qq)):
+            kappas.append(sqrt_in_field(p * pp / (q * qq)))
         elif in_P2(f):
             a, b = f.zhat()[0], f.zhat()[-1]
             kappas.extend(nth_roots_in_field(a / b, f.arity))
             kappas.extend(nth_roots_in_field(-(a / b), f.arity))
-    for kappa in kappas:
-        if kappa.is_zero():
-            continue
-        C = Z @ diag(1, kappa) @ Z_INV
-        if all(in_matchgate(transform(C, g)) for g in F):
-            return C.inverse()
-    return None
+    return _first_witness(in_matchgate, F, (
+        Z @ diag(1, k.inv()) @ Z_INV
+        for k in _one_per_coset(kappas, (ONE, -ONE))))
 
 
 # -- verdicts --------------------------------------------------------------------
@@ -576,7 +572,9 @@ def classify_signature(f):
 
 
 def dichotomy_binary_eq(f, S):
-    """Binary signature with a set of equalities =_k for k in S."""
+    """Binary signature f = [f0, f1, f2] with equalities =_k for k in S."""
+    if len(f) != 3:
+        raise ArityError("binary-eq needs a binary f of three entries")
     S = sorted(set(_check_positive(S, BadS, "an equality arity")))
     if not S or max(S) < 3:
         raise BadS("the arity set must contain some r >= 3")

@@ -489,7 +489,7 @@ def grid_from_json(doc):
             except ValueError:
                 pass
         side[key] = s
-    scalar = AN(doc["scalar"]) if doc.get("scalar") else ONE
+    scalar = AN(doc["scalar"]) if "scalar" in doc else ONE
     return PlanarGrid(vertices, [tuple(e) for e in doc["edges"]],
                       doc.get("dangling", ()), side, scalar)
 

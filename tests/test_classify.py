@@ -489,3 +489,9 @@ def test_matchgate_with_a_non_matchgate_binary_stays_hard():
     F = [sig([1, 0, 3, 0, 9]), sig([1, 1, 2])]
     assert not in_matchgate(F[1])
     assert not dichotomy_plholant_set(F).tractable
+
+
+def test_binary_eq_needs_a_binary_f():
+    for f in ([1, 2], [1, 2, 4, 8], sig([1, 2, 4, 8]), sig([5])):
+        with pytest.raises(ArityError):
+            dichotomy_binary_eq(f, [3])

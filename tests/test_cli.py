@@ -513,3 +513,22 @@ def test_eval_too_large_texts(tmp_path, capsys):
         "message": "classified #P-hard (Sig[2, 1, 0, 0, 0] is outside every "
                    "tractable family) and 4 edges exceed the brute-force "
                    "cap 2"})
+
+
+def test_classify_binary_eq_needs_a_binary_f(tmp_path, capsys):
+    for f in (["1", "2"], ["1", "2", "4", "8"]):
+        path = write_doc(tmp_path, {"f": f, "S": [3]})
+        code, doc = run_cli(capsys, ["classify", "--framework", "binary-eq",
+                                     path])
+        assert code == 2
+        assert doc["error"] == "ArityError"
+
+
+def test_eval_reads_every_present_scalar(tmp_path, capsys):
+    doc = dict(self_loop_doc(), scalar=0)
+    doc["signatures"] = {"eq": ["1", "1", "1"]}
+    code, out = run_cli(capsys, ["eval", write_doc(tmp_path, doc)])
+    assert (code, out["value"]) == (0, "0")
+    doc["scalar"] = []
+    code, out = run_cli(capsys, ["eval", write_doc(tmp_path, doc)])
+    assert (code, out["error"]) == (2, "TypeError")

@@ -310,3 +310,17 @@ def test_json_keeps_string_ids_that_look_like_lists():
     assert set(g2.vertices) == {"[0]", "[1, 2]"}
     assert g2.side == g.side
     assert g2.holant() == g.holant()
+
+
+def test_json_reads_every_present_scalar():
+    doc = {
+        "signatures": {"f": ["1", "1", "1"]},
+        "vertices": [{"id": 0, "sig": "f", "rotation": [0, 1]}],
+        "edges": [[0, 1]],
+    }
+    assert grid_from_json(doc).holant() == AN(2)
+    for scalar, value in ((0, 0), ("0", 0), (3, 6), ("i", 2 * I)):
+        assert grid_from_json(dict(doc, scalar=scalar)).holant() == AN(value)
+    for bad in ([], None, ""):
+        with pytest.raises((TypeError, ValueError)):
+            grid_from_json(dict(doc, scalar=bad))
