@@ -836,9 +836,13 @@ def hypergraph_verdict(S):
     sizes = _check_positive(S, ValueError, "a hyperedge size")
     if not sizes:
         raise ValueError("the size multiset must be nonempty")
-    t = gcd(*sizes)
-    if t >= 5 or set(sizes) <= {1, 2}:
-        route = "eo" if t >= 5 else "fkt" if set(sizes) == {2} else None
+    t, kinds = gcd(*sizes), set(sizes)
+    if kinds == {1, 2}:
+        # a singleton at every vertex leaves the matchings of a planar graph
+        return SetVerdict("hpm", False, obstruction="sizes 1 and 2: planar "
+                          "monomer-dimer (Jerrum 1987; Vadhan 2001)")
+    if t >= 5 or kinds in ({1}, {2}):
+        route = "eo" if t >= 5 else "fkt" if kinds == {2} else None
         return SetVerdict("hpm", True, case="gcd %d" % t, route=route)
     return SetVerdict("hpm", False,
                       obstruction="gcd %d <= 4 with a hyperedge of size >= 3"

@@ -462,9 +462,18 @@ def _json_object(value, field):
     return value
 
 
+def _json_scalar(x):
+    """A field scalar read from a document: ``AN(x)``, except that a JSON
+    boolean, which ``AN`` would read as 0 or 1, is a ValueError."""
+    if isinstance(x, bool):
+        raise ValueError("a scalar must be a number or a string, got %s"
+                         % json.dumps(x))
+    return AN(x)
+
+
 def _signatures_from_json(doc):
     """The document's "signatures" object as {name: SymmetricSignature}."""
-    return {name: SymmetricSignature([AN(e) for e in entries])
+    return {name: SymmetricSignature([_json_scalar(e) for e in entries])
             for name, entries in _json_object(doc["signatures"],
                                              "signatures").items()}
 
@@ -489,7 +498,7 @@ def grid_from_json(doc):
             except ValueError:
                 pass
         side[key] = s
-    scalar = AN(doc["scalar"]) if "scalar" in doc else ONE
+    scalar = _json_scalar(doc["scalar"]) if "scalar" in doc else ONE
     return PlanarGrid(vertices, [tuple(e) for e in doc["edges"]],
                       doc.get("dangling", ()), side, scalar)
 

@@ -5,7 +5,8 @@ Five solver families live here:
 * ``fkt_count_pm``: weighted perfect matchings of a planar graph through a
   Pfaffian orientation (spanning tree plus dual-tree face fixing) and a
   sparse skew-symmetric elimination in minimum-degree order that inverts
-  each pivot once and takes its sign from the all-ones Pfaffian over Q;
+  each pivot once; the sign every matching term shares is read off one
+  perfect matching, found by Edmonds' blossom search;
 * ``product_eval``: product-type grids, by propagating the at-most-two
   consistent patterns per constraint component;
 * ``affine_eval``: affine grids, by Gauss-sum variable elimination over F_2
@@ -24,8 +25,8 @@ is I, (4) capped brute force.
 ``hypergraph_pm`` follows the route of its ``hypergraph_verdict``.
 """
 
-from fractions import Fraction
-from math import gcd
+from collections import Counter
+from math import gcd, prod
 
 from .algebra import AN, I, ONE, SQRT2, ZERO, ZETA
 from .classify import (
@@ -49,6 +50,7 @@ from .grid import (
     _genus0,
     _json_id,
     _json_object,
+    _json_scalar,
     _link,
     _trace_faces,
     edge_cap,
@@ -143,13 +145,130 @@ def _pfaffian(rows, one=ONE):
 
 
 def _kasteleyn(m, arcs):
-    """Sparse rows of the m x m skew matrix with a_th += w and a_ht -= w for
-    each arc (t, h, w); entries that sum to zero are left out."""
+    """Sparse rows of the m x m skew matrix with a_th = w and a_ht = -w for
+    each arc (t, h, w); parallel arcs add up, and entries that sum to zero
+    are left out."""
     rows = [{} for _ in range(m)]
     for t, h, w in arcs:
-        rows[t][h] = rows[t].get(h, 0) + w
-        rows[h][t] = rows[h].get(t, 0) - w
-    return [{j: a for j, a in row.items() if a} for row in rows]
+        if h in rows[t]:
+            w = rows[t][h] + w
+            if not w:
+                del rows[t][h], rows[h][t]
+                continue
+        rows[t][h], rows[h][t] = w, -w
+    return rows
+
+
+def _perfect_matching(m, pairs):
+    """A perfect matching of the graph on 0..m-1 with edges ``pairs`` as the
+    list of each vertex's mate, or None when there is none: a greedy pass,
+    then, from each vertex left free, one search for an augmenting path that
+    shrinks odd cycles to blossoms (Edmonds, "Paths, trees, and flowers",
+    1965).  While a perfect matching exists, every free vertex ends an
+    augmenting path, so the first search that fails shows there is none."""
+    adj = [[] for _ in range(m)]
+    for i, j in pairs:
+        adj[i].append(j)
+        adj[j].append(i)
+    mate = [-1] * m
+    for i in range(m):
+        if mate[i] < 0:
+            for j in adj[i]:
+                if mate[j] < 0:
+                    mate[i], mate[j] = j, i
+                    break
+    for root in range(m):
+        if mate[root] < 0 and not _augment(adj, mate, root):
+            return None
+    return mate
+
+
+def _augment(adj, mate, root):
+    """Grow an alternating tree from the free vertex ``root`` and flip the
+    first augmenting path it finds in ``mate``; False when there is none.
+    ``base[v]`` is the base of the blossom holding v, ``parent[v]`` the tree
+    parent of an inner vertex (or of an outer one inside a blossom)."""
+    base, parent = list(range(len(adj))), [-1] * len(adj)
+    outer = [False] * len(adj)
+    outer[root] = True
+    queue, tree = [root], [root]  # tree: the vertices a blossom can take in
+
+    def common_base(a, b):  # nearest common blossom base of two outer ends
+        seen = set()
+        while True:
+            a = base[a]
+            seen.add(a)
+            if a == root:
+                break
+            a = parent[mate[a]]
+        while base[b] not in seen:
+            b = parent[mate[base[b]]]
+        return base[b]
+
+    def mark(v, b, child, inside):  # the tree path from v down to base b
+        while base[v] != b:
+            inside.add(base[v])
+            inside.add(base[mate[v]])
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    for v in queue:  # grows while it is read
+        for u in adj[v]:
+            if base[v] == base[u] or mate[v] == u:
+                continue
+            if u == root or mate[u] >= 0 and parent[mate[u]] >= 0:
+                # u is outer too: shrink the odd cycle through v and u
+                b, inside = common_base(v, u), set()
+                mark(v, b, u, inside)
+                mark(u, b, v, inside)
+                for x in tree:
+                    if base[x] in inside:
+                        base[x] = b
+                        if not outer[x]:
+                            outer[x] = True
+                            queue.append(x)
+            elif parent[u] < 0:
+                parent[u] = v
+                if mate[u] < 0:  # augment along root ... v u
+                    while u >= 0:
+                        v = parent[u]
+                        w = mate[v]
+                        mate[u], mate[v] = v, u
+                        u = w
+                    return True
+                tree += (u, mate[u])
+                outer[mate[u]] = True
+                queue.append(mate[u])
+    return False
+
+
+def _matching_sign(m, arcs):
+    """The sign that every matching term of the Pfaffian of
+    ``_kasteleyn(m, arcs)`` shares when the arcs are a Pfaffian orientation,
+    read off one perfect matching M: the sign of the permutation
+    (i1 j1 i2 j2 ...) of M's pairs i < j, flipped once for each pair whose
+    arc runs from j to i (of parallel arcs, the first).  Raises RuntimeError
+    when there is no perfect matching."""
+    forward = {}  # (i, j) with i < j -> whether the first arc runs i to j
+    for t, h, _ in arcs:
+        forward.setdefault((t, h) if t < h else (h, t), t < h)
+    mate = _perfect_matching(m, forward)
+    if mate is None:
+        raise RuntimeError("internal error: a nonzero Pfaffian but no "
+                           "perfect matching")
+    pairs = [(i, mate[i]) for i in range(m) if i < mate[i]]
+    seq = [k for pair in pairs for k in pair]
+    # a permutation's parity is m minus its number of cycles
+    flips = m + sum(not forward[pair] for pair in pairs)
+    seen = [False] * m
+    for k in range(m):
+        if not seen[k]:
+            flips -= 1
+            while not seen[k]:
+                seen[k] = True
+                k = seq[k]
+    return -1 if flips % 2 else 1
 
 
 def _fkt_component(vids, rotation, edges, owner):
@@ -203,17 +322,13 @@ def _fkt_component(vids, rotation, edges, owner):
             if fj != outer and undecided[fj] == 1:
                 queue.append(fj)
     assert len(orient) == len(edges)
-    # the all-ones matrix has Pfaffian +-(number of matchings): the sign
-    # that every matching term of the weighted Pfaffian shares
+    # every matching term of the Pfaffian has the same sign, so one perfect
+    # matching gives it; a nonzero Pfaffian proves that one exists
     index = {v: i for i, v in enumerate(order)}
     arcs = [(index[owner[orient[ei]]], index[owner[partner[orient[ei]]]], w)
             for ei, (_, _, w) in enumerate(edges)]
-    pf_w = _pfaffian(_kasteleyn(len(order), arcs))
-    if not pf_w:
-        return ZERO
-    pf_1 = _pfaffian(_kasteleyn(len(order), [(t, h, 1) for t, h, _ in arcs]),
-                     Fraction(1))
-    return pf_w if pf_1 > 0 else -pf_w
+    pf = _pfaffian(_kasteleyn(len(order), arcs))
+    return pf if not pf or _matching_sign(len(order), arcs) > 0 else -pf
 
 
 def fkt_count_pm(g):
@@ -241,7 +356,7 @@ def weighted_graph_from_json(doc):
         doc["vertices"],
         {_json_id(k): v
          for k, v in _json_object(doc["rotation"], "rotation").items()},
-        [(a, b, AN(w)) for (a, b, w) in doc["edges"]])
+        [(a, b, _json_scalar(w)) for (a, b, w) in doc["edges"]])
 
 
 def weighted_graph_to_json(g):
@@ -1283,8 +1398,8 @@ class PlanarHypergraph:
 
 
 def hypergraph_pm(h, cap=None):
-    """(verdict, value): exact along the verdict's route, else capped brute
-    force (value None past the cap)."""
+    """(verdict, value): exact along the verdict's route or, for sizes {1},
+    in closed form, else capped brute force (value None past the cap)."""
     sizes = h.sizes()
     if not sizes:
         # no hyperedges: a perfect matching exists only for no vertices
@@ -1298,8 +1413,10 @@ def hypergraph_pm(h, cap=None):
         edges = [(*h.rotation[he], ONE) for (he, _) in h.hyperedges]
         return verdict, fkt_count_pm(
             WeightedPlanarGraph(h.vertices, h.rotation, edges))
-    # PHard sizes, or size-1 hyperedges (planar monomer-dimer): brute force
-    try:
+    if verdict.tractable:  # sizes {1}: each vertex takes one singleton
+        at = Counter(members[0] for _, members in h.hyperedges)
+        return verdict, AN(prod(at[v] for v in h.vertices))
+    try:  # PHard sizes
         return verdict, h.holant_grid().holant(cap)
     except TooLarge:
         return verdict, None

@@ -375,7 +375,7 @@ def test_vanishing_degree_sum_is_arity():
 
 @pytest.mark.parametrize("cls", sorted(MEMBERSHIP))
 def test_500_members_per_class_accepted(cls):
-    rnd = random.Random(hash(cls) % 100000 + 77)
+    rnd = random.Random("members-500-" + cls)
     for _ in range(500):
         f = gen_member(cls, rnd)
         assert MEMBERSHIP[cls](f), (cls, f)
@@ -383,7 +383,7 @@ def test_500_members_per_class_accepted(cls):
 
 @pytest.mark.parametrize("cls", sorted(FAMILY))
 def test_500_members_per_family_accepted(cls):
-    rnd = random.Random(hash(cls) % 100000 + 78)
+    rnd = random.Random("family-500-" + cls)
     for _ in range(500):
         f = gen_member(cls, rnd)
         assert FAMILY[cls](in_transformable_family(f)), (cls, f)

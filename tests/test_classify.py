@@ -165,7 +165,7 @@ FAMILY = {
 
 @pytest.mark.parametrize("cls", sorted(MEMBERSHIP))
 def test_generated_members_accepted(cls):
-    rnd = random.Random(hash(cls) % 100000)
+    rnd = random.Random("members-" + cls)
     for _ in range(60):
         f = gen_member(cls, rnd)
         assert MEMBERSHIP[cls](f), (cls, f)
@@ -173,7 +173,7 @@ def test_generated_members_accepted(cls):
 
 @pytest.mark.parametrize("cls", sorted(FAMILY))
 def test_generated_family_members_accepted(cls):
-    rnd = random.Random(hash(cls) % 100000 + 1)
+    rnd = random.Random("family-" + cls)
     for _ in range(60):
         f = gen_member(cls, rnd)
         res = in_transformable_family(f)
@@ -414,12 +414,36 @@ def test_plholant_verdict_outcomes(F, tractable, text):
 
 def test_hypergraph_verdict():
     assert hypergraph_verdict([5, 10]).tractable
-    assert hypergraph_verdict([1, 2, 2]).tractable
+    assert not hypergraph_verdict([1, 2, 2]).tractable  # monomer-dimer
     assert not hypergraph_verdict([3, 6]).tractable
     assert not hypergraph_verdict([2, 3]).tractable
     assert hypergraph_verdict([6, 8]).tractable is False  # gcd 2, size 6 > 2
     with pytest.raises(ValueError):
         hypergraph_verdict([])
+
+
+# (sizes, tractable).  gcd >= 5 by the pinning algorithm and {2} by FKT:
+# Cai, Fu, Guo, Williams, "A Holant dichotomy: is the FKT algorithm
+# universal?", FOCS 2015, which makes gcd <= 4 with a size >= 3 #P-hard.
+# {1}: each vertex takes one of its singletons.  {1, 2}: with a singleton
+# at every vertex these count the matchings of a planar graph, #P-complete
+# (Jerrum, J. Stat. Phys. 48, 1987; Vadhan, SIAM J. Comput. 31, 2001).
+HYPERGRAPH_VERDICTS = [
+    ([1], True), ([1, 1, 1], True), ([2], True), ([2, 2, 2], True),
+    ([5], True), ([5, 10], True), ([6, 12], True), ([7, 14, 21], True),
+    ([1, 2], False), ([1, 1, 2], False), ([1, 2, 2], False),
+    ([3], False), ([4], False), ([3, 6], False), ([2, 3], False),
+    ([1, 3], False), ([2, 4], False), ([6, 8], False), ([5, 7], False),
+    ([1, 5], False), ([1, 2, 5], False),
+]
+
+
+@pytest.mark.parametrize("sizes,tractable", HYPERGRAPH_VERDICTS)
+def test_hypergraph_verdict_table(sizes, tractable):
+    v = hypergraph_verdict(sizes)
+    assert v.tractable is tractable
+    if set(sizes) == {1, 2}:
+        assert "monomer-dimer" in v.obstruction
 
 
 def test_hypergraph_verdict_rejects_invalid_sizes():

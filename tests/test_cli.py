@@ -297,6 +297,15 @@ def test_hpm_uncovered_vertex(tmp_path, capsys):
     assert out["verdict"]["case"] == "gcd 5"
 
 
+def test_classify_hpm_monomer_dimer_sizes_are_hard(tmp_path, capsys):
+    for sizes in ([1, 2], [1, 2, 2]):
+        path = write_doc(tmp_path, {"sizes": sizes})
+        code, doc = run_cli(capsys, ["classify", "--framework", "hpm", path])
+        assert code == 0
+        assert doc["verdict"]["tractable"] is False
+        assert "monomer-dimer" in doc["verdict"]["obstruction"]
+
+
 def test_hpm_hard_capped(tmp_path, capsys):
     path = write_doc(tmp_path, hpm_doc([1, 2, 3]))
     code, doc = run_cli(capsys, ["hpm", "--cap", "1", path])
@@ -479,6 +488,36 @@ def test_hpm_rotation_not_an_object(tmp_path, capsys):
     doc["rotation"] = list(doc["rotation"].values())
     path = write_doc(tmp_path, doc)
     assert_not_an_object(capsys, ["hpm", path], "rotation")
+
+
+def assert_boolean_refused(capsys, argv):
+    code, doc = run_cli(capsys, argv)
+    assert code == 2
+    assert doc["error"] == "ValueError" and "true" in doc["message"]
+
+
+def test_eval_boolean_scalars_are_exit_2(tmp_path, capsys):
+    # read as 1/0 these gave value "2" with exit 0
+    both = dict(self_loop_doc(), signatures={"eq": [True, False, True]},
+                scalar=True)
+    for doc in (both, dict(both, signatures=self_loop_doc()["signatures"]),
+                dict(both, scalar="1")):
+        assert_boolean_refused(capsys, ["eval", write_doc(tmp_path, doc)])
+
+
+def test_pm_boolean_weight_is_exit_2(tmp_path, capsys):
+    # read as 1 this gave value "1" with exit 0
+    doc = {"vertices": [1, 2], "rotation": {"1": ["a"], "2": ["b"]},
+           "edges": [["a", "b", True]]}
+    assert_boolean_refused(capsys, ["pm", write_doc(tmp_path, doc)])
+
+
+def test_classify_boolean_entries_are_exit_2(tmp_path, capsys):
+    path = write_doc(tmp_path, {"signatures": {"f": [True, "0", "1"]}})
+    assert_boolean_refused(capsys, ["classify", path])
+    path = write_doc(tmp_path, {"f": ["1", "0", True], "S": [3]})
+    assert_boolean_refused(capsys, ["classify", "--framework", "binary-eq",
+                                    path])
 
 
 def test_classify_binary_eq_invalid_arities_are_exit_2(tmp_path, capsys):

@@ -335,6 +335,204 @@ def test_fkt_cancelling_and_unmatchable():
     assert fkt_count_pm(g) == ZERO == brute_pm(g)
 
 
+def has_perfect_matching(m, pairs):
+    """Independent oracle: exhaustive search, matching the lowest free
+    vertex each way it can be."""
+    adj = {frozenset(p) for p in pairs}
+
+    def search(free):
+        if not free:
+            return True
+        v = min(free)
+        return any(frozenset((v, u)) in adj and search(free - {v, u})
+                   for u in free if u != v)
+    return search(frozenset(range(m)))
+
+
+def odd_cycles_graph(rnd, m):
+    """Odd cycles glued at shared vertices and joined by chords and
+    pendants, under a random labelling: blossoms inside blossoms."""
+    pairs, used = [], [0]
+    while len(used) < m:
+        start = rnd.choice(used)
+        new = list(range(len(used), min(m, len(used) + rnd.choice((2, 4)))))
+        cycle = [start] + new
+        if len(cycle) % 2 == 0:  # too few vertices left: a pendant path
+            pairs += list(zip(cycle, cycle[1:]))
+        else:
+            pairs += list(zip(cycle, cycle[1:] + cycle[:1]))
+        used += new
+    pairs += [tuple(rnd.sample(range(m), 2))
+              for _ in range(rnd.randint(0, 2))]
+    label = list(range(m))
+    rnd.shuffle(label)
+    return [(label[i], label[j]) for i, j in pairs]
+
+
+def matching_graphs():
+    """(m, pairs) of 330 seeded graphs of at most 12 vertices: random ones
+    at several densities, with parallel edges, and glued odd cycles."""
+    graphs = []
+    for seed in range(330):
+        rnd = random.Random("matching-%d" % seed)
+        m = rnd.randint(0, 12)
+        if seed % 3 == 2 and m >= 3:
+            pairs = odd_cycles_graph(rnd, m)
+        else:
+            p = (0.15, 0.3, 0.6)[seed % 3]
+            pairs = [(i, j) if rnd.random() < 0.5 else (j, i)
+                     for i in range(m) for j in range(i + 1, m)
+                     if rnd.random() < p]
+        if pairs:
+            pairs += rnd.sample(pairs, min(len(pairs), rnd.randint(0, 3)))
+        rnd.shuffle(pairs)
+        graphs.append((m, pairs))
+    return graphs
+
+
+def test_perfect_matching_matches_exhaustive_search():
+    found = 0
+    for m, pairs in matching_graphs():
+        mate = solvers._perfect_matching(m, pairs)
+        assert (mate is not None) == has_perfect_matching(m, pairs), (m, pairs)
+        if mate is not None:
+            found += 1
+            edges = {frozenset(p) for p in pairs}
+            assert all(mate[mate[i]] == i != mate[i]
+                       and frozenset((i, mate[i])) in edges
+                       for i in range(m))
+    assert 50 < found < 280  # both answers are well represented
+
+
+def test_perfect_matching_needs_blossoms():
+    # the 5-cycle 4 0 1 2 3 with a pendant 5 at 0: the greedy pass takes
+    # 0-1 and 2-3, and the only augmenting path, 4 3 2 1 0 5, leaves the
+    # tree at 0, an inner vertex until the cycle is shrunk
+    pairs = [(0, 1), (2, 3), (1, 2), (3, 4), (4, 0), (0, 5)]
+    assert solvers._perfect_matching(6, pairs) == [5, 2, 1, 4, 3, 0]
+    # three triangles hung from vertex 0: removing it leaves three odd
+    # components, so there is no perfect matching
+    star = [p for t in (1, 4, 7)
+            for p in ((0, t), (t, t + 1), (t + 1, t + 2), (t + 2, t))]
+    assert solvers._perfect_matching(10, star) is None
+    assert solvers._perfect_matching(10, star + [(3, 4)]) is not None
+    assert solvers._perfect_matching(3, []) is None
+    assert solvers._perfect_matching(0, []) == []
+
+
+def tri_lattice(k, m, rnd, keep=None):
+    """The k-by-m grid graph with the diagonal (r, c)-(r+1, c+1) in every
+    square, drawn with straight lines and random weights; with ``keep``, a
+    random ``keep`` of its edges."""
+    pairs = [((r, c), (r + dr, c + dc)) for r in range(k) for c in range(m)
+             for dr, dc in ((0, 1), (1, 0), (1, 1))
+             if r + dr < k and c + dc < m]
+    if keep is not None:
+        pairs = rnd.sample(pairs, min(keep, len(pairs)))
+    around = {(r, c): [] for r in range(k) for c in range(m)}
+    for v, w in pairs:
+        around[v].append(w)
+        around[w].append(v)
+    rot = {v: ["%r.%r" % (v, w) for w in sorted(
+               ws, key=lambda p, v=v: math.atan2(v[0] - p[0], p[1] - v[1]))]
+           for v, ws in around.items()}
+    return WeightedPlanarGraph(
+        list(rot), rot,
+        [("%r.%r" % (v, w), "%r.%r" % (w, v), rnd_w(rnd)) for v, w in pairs])
+
+
+def sign_graphs():
+    """220 seeded planar graphs small enough for ``brute_pm``: cycle-hub
+    multigraphs with parallel edges and self-loops, whole triangulated
+    2x2 and 2x3 lattices, and 12 edges of larger ones."""
+    graphs = []
+    for seed in range(220):
+        rnd = random.Random("sign-%d" % seed)
+        if seed % 2:
+            rots, raw = cycle_hub_topology(rnd, loops=True)
+            graphs.append(WeightedPlanarGraph(
+                sorted(rots), rots, [(a, b, rnd_w(rnd)) for (a, b) in raw]))
+        else:
+            k, m = rnd.choice([(2, 2), (2, 3), (2, 4), (3, 4), (4, 4)])
+            graphs.append(tri_lattice(k, m, rnd, keep=12))
+    return graphs
+
+
+def test_matching_sign_matches_the_all_ones_pfaffian(monkeypatch):
+    # the sign of one matching term against the sign of the Pfaffian of
+    # the all-ones Kasteleyn matrix over Q, the sign FKT used to compute
+    kasteleyn, seen = solvers._kasteleyn, []
+
+    def recording(m, arcs):
+        seen.append((m, arcs))
+        return kasteleyn(m, arcs)
+
+    monkeypatch.setattr(solvers, "_kasteleyn", recording)
+    signed = unmatchable = 0
+    for g in sign_graphs():
+        seen.clear()
+        assert fkt_count_pm(g) == brute_pm(g)
+        for m, arcs in seen:
+            pf = solvers._pfaffian(kasteleyn(m, [(t, h, 1) for t, h, _ in arcs]),
+                                   Fraction(1))
+            if pf:
+                signed += 1
+                assert solvers._matching_sign(m, arcs) == (1 if pf > 0 else -1)
+            else:
+                unmatchable += 1
+                with pytest.raises(RuntimeError):
+                    solvers._matching_sign(m, arcs)
+    assert signed > 100 and unmatchable > 0
+
+
+def test_fkt_runs_one_pfaffian_per_component(monkeypatch):
+    pfaffian, calls = solvers._pfaffian, []
+
+    def counting(rows, *one):
+        calls.append(one)
+        return pfaffian(rows, *one)
+
+    monkeypatch.setattr(solvers, "_pfaffian", counting)
+    assert fkt_count_pm(grid_graph(6)) == AN(6728)
+    g = tri_lattice(3, 4, random.Random("two"))
+    two = WeightedPlanarGraph(g.vertex_ids + ["u", "v"],
+                              dict(g.rotation, u=["x"], v=["y"]),
+                              g.edges + [("x", "y", AN(5))])
+    assert fkt_count_pm(two) == AN(5) * enumerate_pm(g)
+    assert calls == [()] * 3  # the weighted one, over Q(zeta_8)
+
+
+def enumerate_pm(g):
+    """Independent oracle: the weighted sum over perfect matchings, matching
+    the first unmatched vertex along each of its edges in turn."""
+    owner = g.half_owner
+    edges = {v: [] for v in g.vertex_ids}
+    for a, b, w in g.edges:
+        if owner[a] != owner[b]:
+            edges[owner[a]].append((owner[b], w))
+            edges[owner[b]].append((owner[a], w))
+
+    def total(free):
+        if not free:
+            return ONE
+        v = next(u for u in g.vertex_ids if u in free)
+        out = ZERO
+        for u, w in edges[v]:
+            if u in free:
+                out = out + w * total(free - {v, u})
+        return out
+    return total(frozenset(g.vertex_ids))
+
+
+@pytest.mark.parametrize("k,m", [(2, 2), (2, 3), (3, 4), (4, 4), (2, 7),
+                                 (4, 6), (5, 6)])
+def test_fkt_triangulated_lattices(k, m):
+    g = tri_lattice(k, m, random.Random("tri-%d-%d" % (k, m)))
+    value = fkt_count_pm(g)
+    assert value == enumerate_pm(g)
+    assert not value.is_zero()
+
+
 # ---------------------------------------------------------------------------
 # product-type grids
 # ---------------------------------------------------------------------------
@@ -1229,16 +1427,37 @@ def test_hypergraph_pm_graph_case(n):
 
 
 def test_hypergraph_pm_monomer_dimer():
-    # one dimer plus two monomers: either the dimer or both monomers
+    # one dimer plus two monomers: either the dimer or both monomers; sizes
+    # {1, 2} are #P-hard (planar monomer-dimer), small instances get a value
     rotation = {"u": ["a", "m1"], "v": ["m2", "b"],
                 "d": ["a", "b"], "s1": ["m1"], "s2": ["m2"]}
     h = PlanarHypergraph(["u", "v"],
                          [("d", ["u", "v"]), ("s1", ["u"]), ("s2", ["v"])],
                          rotation)
     verdict, value = hypergraph_pm(h)
-    assert verdict.tractable
+    assert not verdict.tractable
     assert value == AN(2)
     assert brute_hpm(h) == AN(2)
+
+
+def test_hypergraph_pm_singletons_in_closed_form():
+    # sizes {1}: each vertex takes one of its singletons; cap 1 shows that
+    # no brute force runs
+    rnd = random.Random("singletons")
+    for _ in range(20):
+        counts = [rnd.randint(0, 3) for _ in range(rnd.randint(1, 5))]
+        if not any(counts):
+            continue
+        rotation, hyperedges = {}, []
+        for v, c in enumerate(counts):
+            rotation[v] = ["i%d_%d" % (v, k) for k in range(c)]
+            for k in range(c):
+                rotation["h%d_%d" % (v, k)] = ["i%d_%d" % (v, k)]
+                hyperedges.append(("h%d_%d" % (v, k), [v]))
+        h = PlanarHypergraph(list(range(len(counts))), hyperedges, rotation)
+        verdict, value = hypergraph_pm(h, cap=1)
+        assert verdict.tractable
+        assert value == AN(math.prod(counts)) == brute_hpm(h)
 
 
 def test_hypergraph_pm_hard_sizes():
