@@ -11,8 +11,13 @@ A scalar is stored as four integer numerators over one common denominator,
 gcd(n0, n1, n2, n3, d) == 1.  Equal values therefore have equal slots and
 equal hashes, and each operation is integer arithmetic followed by at most
 one gcd, with no Fraction in between.
+
+Scalars are written as text such as "1/2 - 3*w^2 + i" (w = zeta_8).  One
+regular expression, ``_TERM``, defines the grammar: ``parse_scalar`` matches
+it term by term, and ``format_scalar`` writes text it reads back.
 """
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -352,117 +357,47 @@ def sqrt_in_field(x):
 
 
 # -- parsing and formatting ---------------------------------------------
-#
-# Grammar: expr := term (('+'|'-') term)* ; term := rat ('*' 'w' ('^' int)?)?
-#          | 'i' | 'w' ('^' int)? ; rat := int ('/' int)? ; spaces ignored.
+
+# One signed term of a scalar, with whitespace around it: i, w^e, p/q or
+# p/q*w^e, where /q and ^e may be left out; (?(p)...) asks for the '*' only
+# after a coefficient p.  An integer carries its own sign only right after
+# '/' or '^'.  \d and \s match exactly the characters for which
+# str.isdecimal and str.isspace hold, so every digit run reads with int().
+_TERM = re.compile(r"""\s* (?P<sign>[+-]?) \s* (?:
+      (?P<i> i )
+    | (?: (?P<p> \d+ ) (?: \s*/\s* (?P<q> [+-]?\d+ ) )? )?
+      (?: (?(p) \s*\*\s* ) (?P<w> w ) (?: \s*\^\s* (?P<e> [+-]?\d+ ) )? )?
+    ) \s*""", re.VERBOSE)
+
 
 def parse_scalar(text):
-    pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def parse_int():
-        nonlocal pos
-        start = pos
-        if pos < n and text[pos] in "+-":
-            pos += 1
-        if pos >= n or not text[pos].isdigit():
-            raise ParseError("integer expected", pos)
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        return int(text[start:pos])
-
-    def parse_rat():
-        nonlocal pos
-        num = parse_int()
-        skip_ws()
-        if pos < n and text[pos] == "/":
-            pos += 1
-            skip_ws()
-            den = parse_int()
-            if den == 0:
-                raise ParseError("zero denominator", pos)
-            return num, den
-        return num, 1
-
-    def parse_power():
-        # exponent after a 'w', defaults to 1
-        nonlocal pos
-        if pos < n and text[pos] == "^":
-            pos += 1
-            skip_ws()
-            return parse_int()
-        return 1
-
+    """The scalar written in ``text`` as a sum of terms (see ``_TERM``), the
+    first with an optional sign and every later one with its own; for
+    example "1/2 - 3*w^2 + i".  ParseError at the first term that fails."""
     # the value is acc / den, with acc the numerators of 1, w, w^2, w^3
     acc = [0, 0, 0, 0]
     den = 1
-
-    def add_zeta_power(p, q, e):
-        # acc / den += (p / q) * w^e
-        nonlocal den
-        e %= 8
+    pos = 0
+    while True:
+        m = _TERM.match(text, pos)
+        sign, i, p, q, w, e = m.groups()
+        if not (i or p or w) or (pos and not sign):
+            raise ParseError("malformed term", pos)
+        p = int(sign + (p or "1"))
+        q = int(q or 1)
+        if q == 0:
+            raise ParseError("zero denominator", pos)
+        e = (2 if i else int(e or 1) if w else 0) % 8
         if e >= 4:
             p, e = -p, e - 4
         if den % q:
-            m = lcm(den, q)
-            acc[:] = [a * (m // den) for a in acc]
-            den = m
+            k = lcm(den, q) // den
+            acc = [a * k for a in acc]
+            den *= k
         acc[e] += p * (den // q)
-
-    skip_ws()
-    if pos >= n:
-        raise ParseError("empty scalar", pos)
-    first = True
-    while True:
-        skip_ws()
-        if pos >= n:
-            if first:
-                raise ParseError("term expected", pos)
-            break
-        sign = 1
-        if not first or text[pos] in "+-":
-            if pos >= n or text[pos] not in "+-":
-                raise ParseError("'+' or '-' expected", pos)
-            if text[pos] == "-":
-                sign = -1
-            pos += 1
-            skip_ws()
-        first = False
-        if pos >= n:
-            raise ParseError("term expected", pos)
-        ch = text[pos]
-        if ch == "i":
-            pos += 1
-            add_zeta_power(sign, 1, 2)
-        elif ch == "w":
-            pos += 1
-            skip_ws()
-            add_zeta_power(sign, 1, parse_power())
-        elif ch.isdigit():
-            p, q = parse_rat()
-            p *= sign
-            skip_ws()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                skip_ws()
-                if pos >= n or text[pos] != "w":
-                    raise ParseError("'w' expected after '*'", pos)
-                pos += 1
-                skip_ws()
-                add_zeta_power(p, q, parse_power())
-            else:
-                add_zeta_power(p, q, 0)
-        else:
-            raise ParseError("unexpected character %r" % ch, pos)
-        skip_ws()
-        if pos < n and text[pos] not in "+-":
-            raise ParseError("unexpected character %r" % text[pos], pos)
-    return _make(*acc, den)
+        pos = m.end()
+        if pos == len(text):
+            return _make(*acc, den)
 
 
 def format_scalar(x):

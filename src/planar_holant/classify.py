@@ -676,10 +676,22 @@ def dichotomy_plholant_set(F):
 def _plholant_verdict(F):
     # a nonzero constant (arity 0) only scales the Holant
     sigs = [f for f in F if f.arity and not f.is_zero()]
-    # one degeneracy test per member; the rest have arity >= 2
+    # one degeneracy test per member, read from the decomposition it keeps
+    # at arity >= 3; degs holds (f, u) for f = c * u^{tensor n}
     nd3, binaries, degs = [], [], []
     for f in sigs:
-        (degs if is_degenerate(f) else nd3 if f.arity >= 3 else binaries).append(f)
+        if f.arity >= 3:
+            d = f.decomposition()
+            if d.kind == "degenerate":
+                degs.append((f, d.u))
+            else:
+                nd3.append(f)
+        else:
+            form = _degenerate_form(f)
+            if form is None:
+                binaries.append(f)
+            else:
+                degs.append((f, form[1]))
     if not nd3:
         return SetVerdict("plholant", True,
                           case="all non-degenerate arity <= 2 (case 1)")
@@ -737,8 +749,7 @@ def _plholant_verdict(F):
                               case="all non-degenerate in R2^%s (case 5)"
                                    % sigma)
         si = I if sigma == "+" else -I
-        for v in degs:
-            u0, u1 = _degenerate_form(v)[1]
+        for v, (u0, u1) in degs:
             if not (u1 == si * u0 and not u0.is_zero()):
                 return SetVerdict(
                     "plholant", False,
@@ -774,8 +785,7 @@ def _plholant_verdict(F):
                         "plholant", False,
                         obstruction="binary %r is incompatible with mixed "
                                     "matching sides" % h)
-            for v in degs:
-                u0, u1 = _degenerate_form(v)[1]
+            for v, (u0, u1) in degs:
                 if not (not u0.is_zero() and (u1 == I * u0 or u1 == -I * u0)):
                     return SetVerdict(
                         "plholant", False,
@@ -806,10 +816,10 @@ def _plholant_verdict(F):
     sigma = next(iter(sigmas))
     arities = [g.arity for g in p2s]
     arities += [h.arity for h in binaries if in_P2(h)]
-    for v in degs:
+    for _, u in degs:
         # a unary direction is in P2 iff both its Z-basis coordinates are
         # nonzero
-        p, q = Z_INV.apply(_degenerate_form(v)[1])
+        p, q = Z_INV.apply(u)
         if not p.is_zero() and not q.is_zero():
             arities.append(1)
     d = gcd(*arities)

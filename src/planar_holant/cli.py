@@ -19,8 +19,8 @@ from .sigcalc import (
     vanishing_degrees, tensor_decompose, Z,
 )
 from .grid import (
-    PlanarGrid, Vertex, TooLarge, _json_scalar, _signatures_from_json,
-    grid_from_json, grid_to_json,
+    PlanarGrid, Vertex, TooLarge, _json_list, _json_scalar,
+    _signatures_from_json, edge_cap, grid_from_json, grid_to_json,
     holographic_transform_bipartite, orthogonal_transform,
 )
 from .classify import (
@@ -69,8 +69,9 @@ def parse_matrix(text):
     return Transform2x2(*cells)
 
 
-def sig_from_doc(entries):
-    return SymmetricSignature([_json_scalar(e) for e in entries])
+def sig_from_doc(entries, field):
+    return SymmetricSignature([_json_scalar(e)
+                               for e in _json_list(entries, field)])
 
 
 def transform_json(T):
@@ -104,7 +105,7 @@ def verdict_json(v):
 def cmd_classify(args):
     doc = load_doc(args.input)
     if args.framework == "binary-eq":
-        f = sig_from_doc(doc["f"])
+        f = sig_from_doc(doc["f"], "f")
         verdict = dichotomy_binary_eq(f, doc["S"])
         emit({"f": [str(e) for e in f.entries], "S": sorted(set(doc["S"])),
               "verdict": verdict_json(verdict)})
@@ -160,7 +161,7 @@ def cmd_transform(args):
     T = parse_matrix(args.matrix)
     doc = load_doc(args.input)
     if "signature" in doc:
-        f = sig_from_doc(doc["signature"])
+        f = sig_from_doc(doc["signature"], "signature")
         g = transform(T, f)
         emit({"matrix": transform_json(T),
               "signature": [str(e) for e in g.entries]})
@@ -601,6 +602,8 @@ def run(argv=None):
     except SystemExit as exc:
         return EXIT_INVALID if exc.code else EXIT_OK
     try:
+        if "cap" in args:  # a bad --cap or $HOLANT_CAP fails on every route
+            args.cap = edge_cap(args.cap)
         # cmd_<subcommand> is looked up per call, so a replaced one runs
         return globals()["cmd_" + args.subcommand](args)
     except TooLarge as exc:

@@ -48,10 +48,13 @@ DEFAULT_CAP = 24
 
 
 def edge_cap(override=None):
-    if override is not None:
-        return override
-    env = os.environ.get("HOLANT_CAP")
-    return int(env) if env else DEFAULT_CAP
+    """The brute-force edge cap: ``override``, else $HOLANT_CAP, else
+    DEFAULT_CAP; ValueError unless it is an integer >= 0."""
+    if override is None:
+        override = int(os.environ.get("HOLANT_CAP") or DEFAULT_CAP)
+    if override < 0:
+        raise ValueError("the edge cap must be >= 0, got %d" % override)
+    return override
 
 
 class Vertex:
@@ -462,6 +465,16 @@ def _json_object(value, field):
     return value
 
 
+def _json_list(value, field):
+    """value, read from a document's field, when it is a JSON list;
+    ValueError naming the field otherwise (a string would read as its
+    characters)."""
+    if not isinstance(value, list):
+        raise ValueError("%r must be a JSON list, got %s"
+                         % (field, type(value).__name__))
+    return value
+
+
 def _json_scalar(x):
     """A field scalar read from a document: ``AN(x)``, except that a JSON
     boolean, which ``AN`` would read as 0 or 1, is a ValueError."""
@@ -473,7 +486,8 @@ def _json_scalar(x):
 
 def _signatures_from_json(doc):
     """The document's "signatures" object as {name: SymmetricSignature}."""
-    return {name: SymmetricSignature([_json_scalar(e) for e in entries])
+    return {name: SymmetricSignature([_json_scalar(e)
+                                      for e in _json_list(entries, name)])
             for name, entries in _json_object(doc["signatures"],
                                              "signatures").items()}
 
@@ -487,7 +501,8 @@ def grid_from_json(doc):
         vid = vd["id"]
         if isinstance(vid, list):  # a tuple id; other ids stay as written
             vid = _json_id(vid)
-        vertices.append(Vertex(vid, sigs[vd["sig"]], vd["rotation"]))
+        vertices.append(Vertex(vid, sigs[vd["sig"]],
+                               _json_list(vd["rotation"], "rotation")))
     ids = {v.id for v in vertices}
     side = {}
     for k, s in _json_object(doc.get("side") or {}, "side").items():
@@ -499,8 +514,10 @@ def grid_from_json(doc):
                 pass
         side[key] = s
     scalar = _json_scalar(doc["scalar"]) if "scalar" in doc else ONE
-    return PlanarGrid(vertices, [tuple(e) for e in doc["edges"]],
-                      doc.get("dangling", ()), side, scalar)
+    return PlanarGrid(vertices,
+                      [tuple(_json_list(e, "edges")) for e in doc["edges"]],
+                      _json_list(doc.get("dangling", []), "dangling"),
+                      side, scalar)
 
 
 def _json_id(x):

@@ -49,6 +49,7 @@ from .grid import (
     _connect,
     _genus0,
     _json_id,
+    _json_list,
     _json_object,
     _json_scalar,
     _link,
@@ -353,10 +354,11 @@ def fkt_count_pm(g):
 
 def weighted_graph_from_json(doc):
     return WeightedPlanarGraph(
-        doc["vertices"],
-        {_json_id(k): v
+        _json_list(doc["vertices"], "vertices"),
+        {_json_id(k): _json_list(v, "rotation")
          for k, v in _json_object(doc["rotation"], "rotation").items()},
-        [(a, b, _json_scalar(w)) for (a, b, w) in doc["edges"]])
+        [(a, b, _json_scalar(w))
+         for a, b, w in (_json_list(e, "edges") for e in doc["edges"])])
 
 
 def weighted_graph_to_json(g):
@@ -1424,10 +1426,11 @@ def hypergraph_pm(h, cap=None):
 
 def hypergraph_from_json(doc):
     return PlanarHypergraph(
-        [_json_id(v) for v in doc["vertices"]],
-        [(_json_id(e["id"]), [_json_id(m) for m in e["members"]])
+        [_json_id(v) for v in _json_list(doc["vertices"], "vertices")],
+        [(_json_id(e["id"]),
+          [_json_id(m) for m in _json_list(e["members"], "members")])
          for e in doc["hyperedges"]],
-        {_json_id(k): v
+        {_json_id(k): _json_list(v, "rotation")
          for k, v in _json_object(doc["rotation"], "rotation").items()})
 
 

@@ -1,9 +1,9 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from planar_holant.algebra import (
     AN,
@@ -109,6 +109,201 @@ def test_parse_errors_have_positions():
         with pytest.raises(ParseError) as e:
             parse_scalar(bad)
         assert e.value.position >= 0
+
+
+def ref_parse_scalar(text):
+    """The hand-written cursor parser that ``parse_scalar`` replaced, kept as
+    the reference for the differential tests below."""
+    pos = 0
+    n = len(text)
+
+    def skip_ws():
+        nonlocal pos
+        while pos < n and text[pos].isspace():
+            pos += 1
+
+    def parse_int():
+        nonlocal pos
+        start = pos
+        if pos < n and text[pos] in "+-":
+            pos += 1
+        if pos >= n or not text[pos].isdigit():
+            raise ParseError("integer expected", pos)
+        while pos < n and text[pos].isdigit():
+            pos += 1
+        return int(text[start:pos])
+
+    def parse_rat():
+        nonlocal pos
+        num = parse_int()
+        skip_ws()
+        if pos < n and text[pos] == "/":
+            pos += 1
+            skip_ws()
+            den = parse_int()
+            if den == 0:
+                raise ParseError("zero denominator", pos)
+            return num, den
+        return num, 1
+
+    def parse_power():
+        nonlocal pos
+        if pos < n and text[pos] == "^":
+            pos += 1
+            skip_ws()
+            return parse_int()
+        return 1
+
+    acc = [0, 0, 0, 0]
+    den = 1
+
+    def add_zeta_power(p, q, e):
+        nonlocal den
+        e %= 8
+        if e >= 4:
+            p, e = -p, e - 4
+        if den % q:
+            m = lcm(den, q)
+            acc[:] = [a * (m // den) for a in acc]
+            den = m
+        acc[e] += p * (den // q)
+
+    skip_ws()
+    if pos >= n:
+        raise ParseError("empty scalar", pos)
+    first = True
+    while True:
+        skip_ws()
+        if pos >= n:
+            if first:
+                raise ParseError("term expected", pos)
+            break
+        sign = 1
+        if not first or text[pos] in "+-":
+            if pos >= n or text[pos] not in "+-":
+                raise ParseError("'+' or '-' expected", pos)
+            if text[pos] == "-":
+                sign = -1
+            pos += 1
+            skip_ws()
+        first = False
+        if pos >= n:
+            raise ParseError("term expected", pos)
+        ch = text[pos]
+        if ch == "i":
+            pos += 1
+            add_zeta_power(sign, 1, 2)
+        elif ch == "w":
+            pos += 1
+            skip_ws()
+            add_zeta_power(sign, 1, parse_power())
+        elif ch.isdigit():
+            p, q = parse_rat()
+            p *= sign
+            skip_ws()
+            if pos < n and text[pos] == "*":
+                pos += 1
+                skip_ws()
+                if pos >= n or text[pos] != "w":
+                    raise ParseError("'w' expected after '*'", pos)
+                pos += 1
+                skip_ws()
+                add_zeta_power(p, q, parse_power())
+            else:
+                add_zeta_power(p, q, 0)
+        else:
+            raise ParseError("unexpected character %r" % ch, pos)
+        skip_ws()
+        if pos < n and text[pos] not in "+-":
+            raise ParseError("unexpected character %r" % text[pos], pos)
+    return AlgebraicNumber(*(Fraction(a, den) for a in acc))
+
+
+# the grammar's characters, Unicode digits (Arabic-Indic three and
+# Devanagari seven are decimal; superscript two and circled one are digits
+# that int() refuses), Unicode spaces and a few strangers
+SCALAR_CHARS = "0123456789+-/*^iw \t\n\u0663\u096d\u00b2\u2460\u00a0\u2003\x1cx.("
+SCALAR_TOKENS = ["1", "0", "12", "-3", "+4", "/", "/2", "/-5", "/0", "*", "*w",
+                 "w", "w^", "^3", "^-2", "^+9", "i", " + ", " - ", "+", "-",
+                 " ", "\t", "\u0663", "\u00b2", "\u00a0", "x"]
+
+
+def parse_outcome(parse, text):
+    """The slots of parse(text), or ValueError when it rejects the text; the
+    parser under test must reject with a ParseError at a position inside the
+    text."""
+    try:
+        x = parse(text)
+        return x.num, x.den
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text)
+        return ValueError
+    except ValueError:
+        assert parse is ref_parse_scalar
+        return ValueError
+
+
+def assert_parsers_agree(text):
+    assert parse_outcome(parse_scalar, text) \
+        == parse_outcome(ref_parse_scalar, text), repr(text)
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet=SCALAR_CHARS, max_size=16)
+       | st.lists(st.sampled_from(SCALAR_TOKENS), max_size=10).map("".join))
+def test_parse_agrees_with_reference(text):
+    assert_parsers_agree(text)
+
+
+def random_scalar_text(rnd):
+    """A scalar written with random spacing and signs, then changed at up to
+    two characters, so that about half of the texts still parse."""
+    space = lambda: rnd.choice(["", "", " ", "  ", "\t", "\u00a0"])
+    digits = lambda: "".join(rnd.choice("0123456789\u0663")
+                             for _ in range(rnd.randint(1, 3)))
+    parts = []
+    for k in range(rnd.randint(1, 4)):
+        if k or rnd.random() < 0.3:
+            parts += [rnd.choice("+-"), space()]
+        kind = rnd.randrange(4)
+        if kind == 0:
+            parts.append("i")
+        else:
+            if kind != 2:
+                parts.append(digits())
+                if rnd.random() < 0.5:
+                    parts += [space(), "/", space(), rnd.choice(["", "-", "+"]),
+                              digits()]
+            if kind != 1:
+                if kind == 3:
+                    parts += [space(), "*", space()]
+                parts.append("w")
+                if rnd.random() < 0.7:
+                    parts += [space(), "^", space(),
+                              rnd.choice(["", "-", "+"]), digits()]
+        parts.append(space())
+    text = "".join(parts)
+    for _ in range(rnd.choice([0, 0, 1, 2])):
+        k = rnd.randint(0, len(text))
+        edit = rnd.randrange(3)
+        if edit == 0:
+            text = text[:k] + rnd.choice(SCALAR_CHARS) + text[k:]
+        elif edit == 1:
+            text = text[:k] + text[k + 1:]
+        else:
+            text = text[:k] + rnd.choice(SCALAR_CHARS) + text[k + 1:]
+    return text
+
+
+def test_parse_agrees_with_reference_on_seeded_texts():
+    rnd = random.Random("parse-scalar")
+    accepted = 0
+    for _ in range(100_000):
+        text = random_scalar_text(rnd)
+        value = parse_outcome(parse_scalar, text)
+        assert value == parse_outcome(ref_parse_scalar, text), repr(text)
+        accepted += value is not ValueError
+    assert 30_000 < accepted < 90_000
 
 
 @given(scalars)

@@ -93,6 +93,28 @@ def test_eval_honors_cap_env(tmp_path, capsys, monkeypatch):
     assert doc["error"] == "TooLarge"
 
 
+def test_negative_or_malformed_cap_is_exit_2(tmp_path, capsys, monkeypatch):
+    loop = write_doc(tmp_path, self_loop_doc(), "loop.json")
+    gate = write_doc(tmp_path, grid_to_json(cli.triangle_gate_grid()),
+                     "gate.json")
+    hpm = write_doc(tmp_path, hpm_doc([1, 2, 3]), "hpm.json")
+    for argv in (["eval", "--cap", "-1", loop],
+                 ["eval", "--method", "brute", "--cap", "-3", loop],
+                 ["gate", "--cap", "-1", gate],
+                 ["hpm", "--cap", "-1", hpm]):
+        assert run_cli(capsys, argv) == (2, {
+            "error": "ValueError",
+            "message": "the edge cap must be >= 0, got %s" % argv[-2]})
+    for env in ("-2", "2.5", "ten"):
+        monkeypatch.setenv("HOLANT_CAP", env)
+        for argv in (["eval", loop], ["eval", "--method", "brute", loop]):
+            code, doc = run_cli(capsys, argv)
+            assert code == 2 and doc["error"] == "ValueError", (env, argv)
+    monkeypatch.setenv("HOLANT_CAP", "0")
+    assert run_cli(capsys, ["eval", "--cap", "2", loop]) == (
+        0, {"method": "auto", "value": "2"})
+
+
 # -- gate -----------------------------------------------------------------------
 
 
@@ -315,6 +337,59 @@ def test_hpm_hard_capped(tmp_path, capsys):
     code, doc = run_cli(capsys, ["hpm", path])
     assert code == 0
     assert doc["value"] == "1"
+
+
+def assert_string_for_list_is_exit_2(tmp_path, capsys, argv, doc, field):
+    code, out = run_cli(capsys, argv + [write_doc(tmp_path, doc)])
+    assert code == 2, (field, out)
+    assert out == {"error": "ValueError",
+                   "message": "%r must be a JSON list, got str" % field}
+
+
+def test_eval_string_for_list_is_exit_2(tmp_path, capsys):
+    # read as lists of characters, all but the dangling one evaluated to 2
+    loop = self_loop_doc()
+    for field, doc in [
+            ("rotation", dict(loop, vertices=[dict(loop["vertices"][0],
+                                                   rotation="ab")])),
+            ("edges", dict(loop, edges=["ab"])),
+            ("dangling", dict(loop, edges=[], dangling="ab")),
+            ("eq", dict(loop, signatures={"eq": "101"}))]:
+        assert_string_for_list_is_exit_2(tmp_path, capsys, ["eval"], doc,
+                                         field)
+
+
+def test_classify_and_transform_string_signature_is_exit_2(tmp_path, capsys):
+    # read as lists of characters, each of these was the signature [1, 0, 1]
+    for argv, doc, field in [
+            (["classify"], {"signatures": {"f": "101"}}, "f"),
+            (["classify", "--framework", "binary-eq"],
+             {"f": "101", "S": [3]}, "f"),
+            (["transform", "--matrix", "1,0;0,1"], {"signature": "101"},
+             "signature")]:
+        assert_string_for_list_is_exit_2(tmp_path, capsys, argv, doc, field)
+
+
+def test_pm_string_for_list_is_exit_2(tmp_path, capsys):
+    doc = {"vertices": [1, 2],
+           "rotation": {"1": ["a"], "2": ["b"]},
+           "edges": [["a", "b", "3"]]}
+    for field, bad in [("vertices", dict(doc, vertices="12")),
+                       ("rotation", dict(doc, rotation={"1": "a", "2": "b"})),
+                       ("edges", dict(doc, edges=["ab3"]))]:
+        assert_string_for_list_is_exit_2(tmp_path, capsys, ["pm"], bad, field)
+
+
+def test_hpm_string_for_list_is_exit_2(tmp_path, capsys):
+    doc = {"vertices": [1, 2],
+           "hyperedges": [{"id": "h", "members": [1, 2]}],
+           "rotation": {"1": ["a"], "2": ["b"], "h": ["a", "b"]}}
+    for field, bad in [
+            ("vertices", dict(doc, vertices="12")),
+            ("members", dict(doc, hyperedges=[{"id": "h", "members": "12"}])),
+            ("rotation", dict(doc, rotation=dict(doc["rotation"], h="ab")))]:
+        assert_string_for_list_is_exit_2(tmp_path, capsys, ["hpm"], bad,
+                                         field)
 
 
 # -- verify ---------------------------------------------------------------------

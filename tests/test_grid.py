@@ -146,6 +146,17 @@ def test_cap():
     assert g.holant(cap=6) == AN(3)
 
 
+def test_negative_cap_is_invalid(monkeypatch):
+    g = k4_grid()
+    with pytest.raises(ValueError, match="must be >= 0"):
+        g.holant(cap=-1)
+    monkeypatch.setenv("HOLANT_CAP", "-2")
+    with pytest.raises(ValueError, match="must be >= 0"):
+        g.holant()
+    monkeypatch.setenv("HOLANT_CAP", "6")
+    assert g.holant() == AN(3)
+
+
 def test_triangle_gate():
     g = triangle_gate()
     _, ok = g.validate()
