@@ -202,9 +202,6 @@ class AlgebraicNumber:
                 return NotImplemented
         return self.den == other.den and self.num == other.num
 
-    def __ne__(self, other):
-        return not self == other
-
     def __hash__(self):
         return hash((self.num, self.den))
 
@@ -370,6 +367,29 @@ _TERM = re.compile(r"""\s* (?P<sign>[+-]?) \s* (?:
     ) \s*""", re.VERBOSE)
 
 
+# Python 3.11 limits int() and "%d" to 4,300 digits by default; _int and
+# _digits split longer integers in halves (13,000 bits is under 3,914 digits)
+_DIGITS, _BITS = 4000, 13000
+
+
+def _int(s):
+    """int(s) for a signed run of decimal digits of any length."""
+    if len(s) <= _DIGITS:
+        return int(s)
+    k = len(s) // 2
+    low = _int(s[k:])
+    return _int(s[:k]) * 10 ** (len(s) - k) + (-low if s[0] == "-" else low)
+
+
+def _digits(n):
+    """"%d" % n for an integer n >= 0 of any length."""
+    if n.bit_length() <= _BITS:
+        return "%d" % n
+    k = n.bit_length() * 3 // 20  # about half of n's digits
+    high, low = divmod(n, 10 ** k)
+    return _digits(high) + _digits(low).zfill(k)
+
+
 def parse_scalar(text):
     """The scalar written in ``text`` as a sum of terms (see ``_TERM``), the
     first with an optional sign and every later one with its own; for
@@ -383,11 +403,11 @@ def parse_scalar(text):
         sign, i, p, q, w, e = m.groups()
         if not (i or p or w) or (pos and not sign):
             raise ParseError("malformed term", pos)
-        p = int(sign + (p or "1"))
-        q = int(q or 1)
+        p = _int(sign + (p or "1"))
+        q = _int(q or "1")
         if q == 0:
             raise ParseError("zero denominator", pos)
-        e = (2 if i else int(e or 1) if w else 0) % 8
+        e = (2 if i else _int(e or "1") if w else 0) % 8
         if e >= 4:
             p, e = -p, e - 4
         if den % q:
@@ -408,7 +428,7 @@ def format_scalar(x):
         if v == 0:
             continue
         g = gcd(v, d)
-        mag = "%d" % (abs(v) // g) if g == d else "%d/%d" % (abs(v) // g, d // g)
+        mag = _digits(abs(v) // g) + ("/" + _digits(d // g) if g != d else "")
         if k == 0:
             body = mag
         else:

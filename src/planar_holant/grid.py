@@ -4,9 +4,11 @@ A grid is a set of vertices carrying signatures, a counterclockwise rotation
 (cyclic list of half-edge ids) per vertex, matched edges as unordered pairs
 of half-edge ids, and an ordered list of dangling half-edges for F-gates.
 Faces come from rotation-system traversal; planarity is verified through the
-Euler formula per connected component, never computed.
+Euler formula per connected component, never computed.  One pass over an
+embedding, ``_embedding``, gives its faces, components and a spanning forest.
 """
 
+import itertools
 import json
 import os
 
@@ -101,12 +103,8 @@ class PlanarGrid:
         return _trace_faces((v.rotation for v in self.vertices.values()),
                             self.partner)
 
-    def _components(self):
-        uf = _connect(self.edges, self.half_owner)
-        comps = {}
-        for v in self.vertices:
-            comps.setdefault(uf.find(v), []).append(v)
-        return list(comps.values())
+    def _rotations(self):
+        return {v.id: v.rotation for v in self.vertices.values()}
 
     def validate(self):
         """(faces, genus_ok): Euler characteristic 2 per component.
@@ -115,17 +113,17 @@ class PlanarGrid:
         rotation reverses the declared counterclockwise order, which also
         checks that the dangling edges can sit on a common outer face.
         """
-        rotations = {v.id: v.rotation for v in self.vertices.values()}
+        rotations = self._rotations()
         if not self.dangling:
-            return _genus0(rotations, self.edges, self.half_owner,
-                           self.partner)
+            faces, _, _, ok = _embedding(rotations, self.half_owner,
+                                         self.partner)
+            return faces, ok
         virt_halves = ["__virt_%d" % k for k in range(len(self.dangling))]
         closed = dict(rotations)
         closed[_VIRTUAL] = list(reversed(virt_halves))
-        edges = self.edges + list(zip(self.dangling, virt_halves))
-        faces, ok = _genus0(closed, edges, *_link(closed, edges))
-        if not ok and _genus0(rotations, self.edges, self.half_owner,
-                              self.partner)[1]:
+        faces, _, _, ok = _embedding(closed, *_link(
+            closed, self.edges + list(zip(self.dangling, virt_halves))))
+        if not ok and _embedding(rotations, self.half_owner, self.partner)[3]:
             raise OrderError("dangling order inconsistent with an outer face")
         return faces, ok
 
@@ -147,7 +145,8 @@ class PlanarGrid:
         """The F-gate signature over the dangling edges, as a GeneralSignature."""
         if not self.dangling:
             raise StructureError("gate needs dangling edges")
-        if len(self._components()) > 1:
+        label = _embedding(self._rotations(), self.half_owner, self.partner)[1]
+        if len(set(label.values())) > 1:
             raise StructureError("multi-component gates are not supported")
         self._check_cap(cap)
         m = len(self.dangling)
@@ -206,47 +205,47 @@ def _trace_faces(rotations, partner):
     nxt = {}
     for rot in rotations:
         rot = [h for h in rot if h in partner]
-        for i, h in enumerate(rot):
-            nxt[h] = rot[(i + 1) % len(rot)]
-    faces = []
-    seen = set()
+        nxt.update(zip(rot, rot[1:] + rot[:1]))
+    faces, seen = [], set()
     for h0 in sorted(nxt, key=repr):
-        if h0 in seen:
-            continue
-        face = []
-        h = h0
-        while True:
-            face.append(h)
-            seen.add(h)
-            h = nxt[partner[h]]
-            if h == h0:
-                break
-        faces.append(face)
+        if h0 not in seen:
+            face, h = [h0], nxt[partner[h0]]
+            while h != h0:
+                face.append(h)
+                h = nxt[partner[h]]
+            seen.update(face)
+            faces.append(face)
     return faces
 
 
-def _connect(edges, half_owner):
-    """A _DisjointSet whose classes are the connected components."""
-    uf = _DisjointSet()
-    for e in edges:
-        uf.union(half_owner[e[0]], half_owner[e[1]])
-    return uf
-
-
-def _genus0(rotations, edges, half_owner, partner):
-    """(faces, ok): the face orbits, and whether every connected component
-    has Euler characteristic V - E + F = 2, where an edgeless component
-    counts one face."""
+def _embedding(rotations, half_owner, partner):
+    """(faces, component, tree, ok) of the rotation system ``rotations``
+    (vertex id -> half-edge ids): the face orbits; from one depth-first
+    search, a component label 0, 1, ... per vertex and the spanning forest
+    it followed (the half each forest edge was left by); and whether every
+    component has V - E + F = 2, an edgeless one counting one face."""
     faces = _trace_faces(rotations.values(), partner)
-    uf = _connect(edges, half_owner)
-    count = {}  # component root -> [V - E, F]
-    for v in rotations:
-        count.setdefault(uf.find(v), [0, 0])[0] += 1
-    for (a, _) in edges:
-        count[uf.find(half_owner[a])][0] -= 1
+    component, tree, count = {}, [], []  # count per label: [V - E, F]
+    for root in rotations:
+        if root in component:
+            continue
+        component[root] = len(count)
+        stack, n_vertices, n_halves = [root], 0, 0
+        while stack:
+            v = stack.pop()
+            n_vertices += 1
+            for h in rotations[v]:
+                if h in partner:
+                    n_halves += 1
+                    w = half_owner[partner[h]]
+                    if w not in component:
+                        component[w] = len(count)
+                        tree.append(h)
+                        stack.append(w)
+        count.append([n_vertices - n_halves // 2, 0])
     for face in faces:
-        count[uf.find(half_owner[face[0]])][1] += 1
-    return faces, all(ve + max(f, 1) == 2 for ve, f in count.values())
+        count[component[half_owner[face[0]]]][1] += 1
+    return faces, component, tree, all(ve + max(f, 1) == 2 for ve, f in count)
 
 
 class _DisjointSet:
@@ -364,18 +363,11 @@ def _vertex_order(grid):
         if va != vb:
             adj[va].add(vb)
             adj[vb].add(va)
-    order = []
-    placed = set()
-    remaining = set(grid.vertices)
+    order, placed, remaining = [], set(), set(grid.vertices)
     while remaining:
-        best = None
-        best_score = None
-        for v in remaining:
-            inside = len(adj[v] & placed)
-            outside = len(adj[v] - placed)
-            score = (outside - inside, repr(v))
-            if best_score is None or score < best_score:
-                best, best_score = v, score
+        # fewest edges out of the placed set minus edges into it
+        best = min(remaining, key=lambda v: (
+            len(adj[v] - placed) - len(adj[v] & placed), repr(v)))
         order.append(best)
         placed.add(best)
         remaining.discard(best)
@@ -385,15 +377,10 @@ def _vertex_order(grid):
 # -- grid rewrites -----------------------------------------------------------
 
 def _fresh_ids(grid, count):
-    ids = []
-    used = set(grid.half_owner)
-    k = 0
-    while len(ids) < count:
-        cand = "s%d" % k
-        if cand not in used:
-            ids.append(cand)
-        k += 1
-    return ids
+    """The first ``count`` of "s0", "s1", ... that grid does not use."""
+    ids = ("s%d" % k for k in itertools.count())
+    return list(itertools.islice(
+        (h for h in ids if h not in grid.half_owner), count))
 
 
 def two_stretch(grid):

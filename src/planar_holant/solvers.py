@@ -3,10 +3,12 @@
 Five solver families live here:
 
 * ``fkt_count_pm``: weighted perfect matchings of a planar graph through a
-  Pfaffian orientation (spanning tree plus dual-tree face fixing) and a
-  sparse skew-symmetric elimination in minimum-degree order that inverts
-  each pivot once; the sign every matching term shares is read off one
-  perfect matching, found by Edmonds' blossom search;
+  Pfaffian orientation and a sparse skew-symmetric elimination in
+  minimum-degree order that inverts each pivot once.  The orientation fixes
+  the faces and spanning forest that the graph's genus-0 check read (FKT
+  traces none of its own) by dual-tree face fixing; a self-loop takes part
+  there and is left out of the matrix.  The sign every matching term shares
+  is read off one perfect matching, found by Edmonds' blossom search;
 * ``product_eval``: product-type grids, by propagating the at-most-two
   consistent patterns per constraint component;
 * ``affine_eval``: affine grids, by Gauss-sum variable elimination over F_2
@@ -26,6 +28,7 @@ is I, (4) capped brute force.
 """
 
 from collections import Counter
+from itertools import combinations, permutations
 from math import gcd, prod
 
 from .algebra import AN, I, ONE, SQRT2, ZERO, ZETA
@@ -46,14 +49,12 @@ from .grid import (
     TooLarge,
     Vertex,
     _DisjointSet,
-    _connect,
-    _genus0,
+    _embedding,
     _json_id,
     _json_list,
     _json_object,
     _json_scalar,
     _link,
-    _trace_faces,
     edge_cap,
     holographic_transform_bipartite,
     two_stretch,
@@ -87,7 +88,9 @@ class WeightedPlanarGraph:
     """A planar multigraph with a rotation system and nonzero edge weights.
 
     ``rotation`` maps each vertex id to the counterclockwise list of its
-    half-edge ids; ``edges`` is a list of (half, half, weight) triples.
+    half-edge ids; ``edges`` is a list of (half, half, weight) triples.  The
+    genus-0 check keeps what it read for FKT: the face orbits ``faces``, a
+    component label per vertex ``component`` and a spanning forest ``tree``.
     """
 
     def __init__(self, vertices, rotation, edges):
@@ -99,9 +102,14 @@ class WeightedPlanarGraph:
                 raise ValueError("edge weights must be nonzero")
         if len(self.rotation) != len(self.vertex_ids):
             raise StructureError("duplicate vertex ids")
-        edges = [(a, b) for (a, b, _) in self.edges]
-        self.half_owner, partner = _link(self.rotation, edges)
-        if not _genus0(self.rotation, edges, self.half_owner, partner)[1]:
+        for v in rotation:
+            if v not in self.rotation:
+                raise StructureError("rotation of unknown vertex %r" % (v,))
+        self.half_owner, self.partner = _link(
+            self.rotation, [(a, b) for (a, b, _) in self.edges])
+        self.faces, self.component, self.tree, ok = _embedding(
+            self.rotation, self.half_owner, self.partner)
+        if not ok:
             raise EmbeddingError("the rotation system is not genus 0")
 
 
@@ -272,38 +280,27 @@ def _matching_sign(m, arcs):
     return -1 if flips % 2 else 1
 
 
-def _fkt_component(vids, rotation, edges, owner):
-    """Weighted matching sum of one connected component."""
+def _fkt_component(g, vids, edges, faces, tree):
+    """Weighted matching sum of one connected component of g, given its
+    vertices, edges, face orbits and spanning tree as g's check read them."""
     if len(vids) % 2:
         return ZERO
-    if not edges:
-        return ZERO if vids else ONE
-    order = sorted(vids, key=repr)
-    partner, edge_of = {}, {}
+    owner, partner = g.half_owner, g.partner
+    edge_of = {}
     for ei, (a, b, _) in enumerate(edges):
-        partner[a], partner[b] = b, a
         edge_of[a] = edge_of[b] = ei
-    faces = _trace_faces((rotation[v] for v in vids), partner)
-    # spanning tree over edge indices (each list in edge order)
-    adj = {v: [] for v in vids}
-    for ei, (a, b, _) in enumerate(edges):
-        adj[owner[a]].append((ei, owner[b]))
-        adj[owner[b]].append((ei, owner[a]))
-    tree, placed, frontier = set(), {order[0]}, [order[0]]
-    while frontier:
-        for ei, w in adj[frontier.pop()]:
-            if w not in placed:
-                placed.add(w)
-                tree.add(ei)
-                frontier.append(w)
-    # orientation: per edge, the half on the tail side
-    orient = {ei: edges[ei][0] for ei in tree}
-    # dual-tree face fixing: every face except the outer root becomes odd
+    # orientation: per edge, the half on the tail side; tree edges point
+    # away from the root
+    orient = {edge_of[h]: h for h in tree}
+    # dual-tree face fixing: every face except the outer root becomes odd.
+    # A self-loop is never a tree edge; it lies between two distinct faces
+    # and runs clockwise on exactly one, so once its arc is left out below,
+    # the two faces merge into one odd face, or into the outer face.
     outer = max(range(len(faces)), key=lambda fi: (len(faces[fi]), -fi))
     face_of_half = {h: fi for fi, face in enumerate(faces) for h in face}
     undecided = [0] * len(faces)
     for ei, (a, b, _) in enumerate(edges):
-        if ei not in tree:
+        if ei not in orient:
             undecided[face_of_half[a]] += 1
             undecided[face_of_half[b]] += 1
     queue = [fi for fi in range(len(faces))
@@ -325,27 +322,33 @@ def _fkt_component(vids, rotation, edges, owner):
     assert len(orient) == len(edges)
     # every matching term of the Pfaffian has the same sign, so one perfect
     # matching gives it; a nonzero Pfaffian proves that one exists
-    index = {v: i for i, v in enumerate(order)}
-    arcs = [(index[owner[orient[ei]]], index[owner[partner[orient[ei]]]], w)
-            for ei, (_, _, w) in enumerate(edges)]
-    pf = _pfaffian(_kasteleyn(len(order), arcs))
-    return pf if not pf or _matching_sign(len(order), arcs) > 0 else -pf
+    index = {v: i for i, v in enumerate(sorted(vids, key=repr))}
+    arcs = []
+    for ei, (_, _, w) in enumerate(edges):
+        t, h = owner[orient[ei]], owner[partner[orient[ei]]]
+        if t != h:  # a self-loop has no entry in the matrix
+            arcs.append((index[t], index[h], w))
+    pf = _pfaffian(_kasteleyn(len(vids), arcs))
+    return pf if not pf or _matching_sign(len(vids), arcs) > 0 else -pf
 
 
 def fkt_count_pm(g):
-    """Exact weighted sum over perfect matchings of a planar graph."""
-    owner = g.half_owner
-    # self-loops never participate in a perfect matching
-    edges = [(a, b, w) for (a, b, w) in g.edges if owner[a] != owner[b]]
-    uf = _connect(edges, owner)
-    comps = {}  # root -> (vertices, edges) of one component
+    """Exact weighted sum over perfect matchings of a planar graph, one
+    component at a time, on what g's genus-0 check read: its faces,
+    components and spanning forest."""
+    owner, label = g.half_owner, g.component
+    comps = {}  # label -> (vertices, edges, faces, tree) of one component
     for v in g.vertex_ids:
-        comps.setdefault(uf.find(v), ([], []))[0].append(v)
-    for e in edges:
-        comps[uf.find(owner[e[0]])][1].append(e)
+        comps.setdefault(label[v], ([], [], [], []))[0].append(v)
+    for e in g.edges:
+        comps[label[owner[e[0]]]][1].append(e)
+    for face in g.faces:
+        comps[label[owner[face[0]]]][2].append(face)
+    for h in g.tree:
+        comps[label[owner[h]]][3].append(h)
     total = ONE
-    for vids, local in comps.values():
-        val = _fkt_component(vids, g.rotation, local, owner)
+    for comp in comps.values():
+        val = _fkt_component(g, *comp)
         if val.is_zero():
             return ZERO
         total = total * val
@@ -479,9 +482,8 @@ class _Mod4Form:
         xs = list(xs)
         for x in xs:
             self.add_lin(x, c)
-        for i in range(len(xs)):
-            for j in range(i + 1, len(xs)):
-                self.add_cross(xs[i], xs[j], 2 * c)
+        for x, y in combinations(xs, 2):
+            self.add_cross(x, y, 2 * c)
 
     def pop_var(self, t):
         """Remove t; return (linear coefficient, cross partners with coeff 2)."""
@@ -976,16 +978,9 @@ def _simplify_step(state):
         blk = va if state.kind[va] == "eq" else vb
         eo = vb if blk == va else va
         signs = [_end_weight(state, eid, blk) for eid in eids]
-        same = None
-        for i in range(len(eids)):
-            for j in range(i + 1, len(eids)):
-                if signs[i] == signs[j]:
-                    same = (eids[i], signs[i])
-                    break
-            if same:
-                break
-        if same is not None:
-            _, s = same
+        # the first sign that a later edge repeats
+        s = next((x for i, x in enumerate(signs) if x in signs[i + 1:]), None)
+        if s is not None:
             reqs = []
             _collapse_eq(state, blk, 1 - s, reqs)
             _resolve(state, reqs)
@@ -1135,13 +1130,10 @@ def _pin_step(state):
             if len(slots) < 2:
                 continue
             signs = [state.ends[eid][idx][1] for (eid, idx) in slots]
-            same_pair = None
-            for i in range(len(slots)):
-                for j in range(i + 1, len(slots)):
-                    if signs[i] == signs[j]:
-                        same_pair = (slots[i], slots[j])
-            if same_pair is not None:
-                reqs = [(eid, 1 - idx, 0) for (eid, idx) in same_pair]
+            same = [(slots[i], slots[j]) for i, j in
+                    combinations(range(len(slots)), 2) if signs[i] == signs[j]]
+            if same:
+                reqs = [(eid, 1 - idx, 0) for (eid, idx) in same[-1]]
                 _resolve(state, reqs)
                 return
             pair = {slots[0][0], slots[1][0]}
@@ -1255,27 +1247,23 @@ def _arrange_wheel(supers, b_adj, center):
     for b in sorted(b_adj):
         if b == center:
             continue
-        for i in range(5):
-            for j in range(i + 1, 5):
-                if supers[i] in b_adj[b] and supers[j] in b_adj[b]:
-                    rim_between.setdefault((supers[i], supers[j]), []).append(b)
-    from itertools import permutations
+        for s, t in combinations(supers, 2):
+            if s in b_adj[b] and t in b_adj[b]:
+                rim_between.setdefault((s, t), []).append(b)
     first = supers[0]
     for perm in permutations(supers[1:]):
         order = [first] + list(perm)
         if order[1] > order[-1]:
             continue  # each cycle once
         chosen = []
-        ok = True
         for i in range(5):
             a, b = order[i], order[(i + 1) % 5]
             key = (min(a, b), max(a, b))
             cands = [r for r in rim_between.get(key, ()) if r not in chosen]
             if not cands:
-                ok = False
                 break
             chosen.append(cands[0])
-        if ok:
+        else:
             return order, chosen
     return None
 
@@ -1311,18 +1299,31 @@ class PlanarHypergraph:
     ``rotation`` maps every node (hypergraph vertex or hyperedge id) to the
     counterclockwise list of its incidence half-edge ids; an incidence is one
     id shared between a hyperedge's rotation and a member vertex's rotation.
+    The genus-0 check reads that rotation system, whose edges are the
+    incidences; the Holant grid, which only subdivides each incidence, has
+    the same Euler characteristic and is built when ``holant_grid`` is first
+    called.
     """
 
     def __init__(self, vertices, hyperedges, rotation):
         self.vertices = list(vertices)
         self.hyperedges = [(h, list(members)) for (h, members) in hyperedges]
         self.rotation = {k: list(v) for k, v in rotation.items()}
+        self._grid = None
         vset = set(self.vertices)
         hset = {h for (h, _) in self.hyperedges}
+        if len(vset) != len(self.vertices):
+            raise StructureError("duplicate vertex ids")
+        if len(hset) != len(self.hyperedges):
+            raise StructureError("duplicate hyperedge ids")
         if vset & hset:
             raise StructureError("vertex and hyperedge ids must be disjoint")
-        owners = {}
-        for node in list(vset) + sorted(hset, key=repr):
+        for node in self.rotation:
+            if node not in vset and node not in hset:
+                raise StructureError("rotation of unknown node %r" % (node,))
+        nodes = self.vertices + [h for (h, _) in self.hyperedges]
+        owners = {}  # incidence -> [its vertex, its hyperedge]
+        for node in nodes:
             for half in self.rotation.get(node, ()):
                 owners.setdefault(half, []).append(node)
         for half, who in owners.items():
@@ -1331,15 +1332,16 @@ class PlanarHypergraph:
                     "incidence %r must join one vertex and one hyperedge"
                     % (half,))
         for (h, members) in self.hyperedges:
-            touched = sorted(
-                (w for half in self.rotation.get(h, ())
-                 for w in owners[half] if w in vset), key=repr)
-            if sorted(members, key=repr) != touched:
+            touched = [owners[half][0] for half in self.rotation.get(h, ())]
+            if sorted(members, key=repr) != sorted(touched, key=repr):
                 raise StructureError(
                     "hyperedge %r members disagree with its rotation" % (h,))
-        self._grid = self._incidence_grid()
-        _, ok = self._grid.validate()
-        if not ok:
+        # each incidence is an edge between the darts (node, incidence) of
+        # its vertex and its hyperedge
+        darts = {node: [(node, half) for half in self.rotation.get(node, ())]
+                 for node in nodes}
+        links = [((v, half), (e, half)) for half, (v, e) in owners.items()]
+        if not _embedding(darts, *_link(darts, links))[3]:
             raise EmbeddingError("the incidence embedding is not genus 0")
 
     def sizes(self):
@@ -1351,51 +1353,39 @@ class PlanarHypergraph:
         Hyperedges carry equalities and vertices carry all-but-one (each
         vertex sees the negation of the hyperedge indicator through the
         disequality edge), so selecting exactly one incident hyperedge per
-        vertex is exactly a perfect matching.
+        vertex is exactly a perfect matching.  An uncovered vertex carries
+        [0]: it admits no perfect matching.
         """
-        verts = []
-        side = {}
-        half_vertex = {}
+        verts, owner = [], {}
         for node in self.vertices:
-            for h in self.rotation.get(node, ()):
-                half_vertex[h] = node
-        for node in self.vertices:
-            deg = len(self.rotation.get(node, ()))
-            if deg == 0:
-                # an uncovered vertex admits no perfect matching
-                verts.append(Vertex(("iso", node), SymmetricSignature([0]), []))
-                side[("iso", node)] = "R"
-                continue
-            # through the disequality the vertex sees negated indicators:
-            # exactly one incidence chosen means all slots but one read 1
-            sig = all_but_one(deg) if deg >= 2 else SymmetricSignature([1, 0])
-            verts.append(Vertex(node, sig,
-                                ["v%r_%r" % (node, h)
-                                 for h in self.rotation[node]]))
-            side[node] = "R"
-        for (h, members) in self.hyperedges:
+            rot = self.rotation.get(node, ())
+            owner.update(dict.fromkeys(rot, node))
+            verts.append(Vertex(node, all_but_one(len(rot)),
+                                ["v%r_%r" % (node, h) for h in rot]) if rot
+                         else Vertex(("iso", node), SymmetricSignature([0]),
+                                     []))
+        for (h, _) in self.hyperedges:
             rot = self.rotation.get(h, ())
-            s = len(rot)
-            if s == 0:
-                continue
-            sig = equality(s) if s >= 2 else SymmetricSignature([1, 1])
-            verts.append(Vertex(("he", h), sig,
-                                ["h%r_%r" % (h, half) for half in rot]))
-            side[("he", h)] = "R"
+            if rot:
+                verts.append(Vertex(
+                    ("he", h), equality(len(rot)) if len(rot) > 1
+                    else SymmetricSignature([1, 1]),
+                    ["h%r_%r" % (h, half) for half in rot]))
+        side = dict.fromkeys((v.id for v in verts), "R")
         edges = []
-        mid = 0
         for (h, _) in self.hyperedges:
             for half in self.rotation.get(h, ()):
-                owner = half_vertex[half]
+                mid = len(edges) // 2
                 la, lb = "L%d_a" % mid, "L%d_b" % mid
                 verts.append(Vertex(("ne", mid), diseq2(), [la, lb]))
                 side[("ne", mid)] = "L"
-                edges.append(("h%r_%r" % (h, half), la))
-                edges.append(("v%r_%r" % (owner, half), lb))
-                mid += 1
+                edges += [("h%r_%r" % (h, half), la),
+                          ("v%r_%r" % (owner[half], half), lb)]
         return PlanarGrid(verts, edges, side=side)
 
     def holant_grid(self):
+        if self._grid is None:
+            self._grid = self._incidence_grid()
         return self._grid
 
 
@@ -1413,8 +1403,8 @@ def hypergraph_pm(h, cap=None):
     if verdict.route == "fkt":
         # ordinary graph: count perfect matchings through FKT
         edges = [(*h.rotation[he], ONE) for (he, _) in h.hyperedges]
-        return verdict, fkt_count_pm(
-            WeightedPlanarGraph(h.vertices, h.rotation, edges))
+        return verdict, fkt_count_pm(WeightedPlanarGraph(
+            h.vertices, {v: h.rotation.get(v, ()) for v in h.vertices}, edges))
     if verdict.tractable:  # sizes {1}: each vertex takes one singleton
         at = Counter(members[0] for _, members in h.hyperedges)
         return verdict, AN(prod(at[v] for v in h.vertices))

@@ -514,3 +514,31 @@ def test_format_reads_lowest_terms_per_coefficient():
     assert (x.num, x.den) == ((1, -3, 4, 6), 6)
     assert format_scalar(x) == "1/6 - 1/2*w + 2/3*w^2 + w^3"
     assert format_scalar(-ZETA ** 3 / 3) == "-1/3*w^3"
+
+
+def _long_int(rnd, n_digits):
+    """(value, text) of a random integer of exactly n_digits digits, built
+    from blocks of four, so neither side needs a long int/str conversion."""
+    blocks = [rnd.randint(1000, 9999)] + [rnd.randint(0, 9999)
+                                          for _ in range(n_digits // 4 - 1)]
+    value = 0
+    for b in blocks:
+        value = value * 10000 + b
+    return value, "".join("%04d" % b for b in blocks)
+
+
+def test_integers_of_any_length_round_trip():
+    # Python refuses int() and "%d" past 4,300 digits unless told otherwise
+    rnd = random.Random("long")
+    for n_digits in (4000, 4300, 4400, 10000):
+        p, p_text = _long_int(rnd, n_digits)
+        q, q_text = _long_int(rnd, n_digits)
+        assert format_scalar(AN(p)) == p_text
+        assert format_scalar(AN(Fraction(-1, q))) == "-1/" + q_text
+        assert parse_scalar(p_text) == AN(p)
+        assert parse_scalar("-%s/%s*w^3" % (p_text, q_text)) == \
+            AlgebraicNumber(0, 0, 0, Fraction(-p, q))
+        x = AlgebraicNumber(Fraction(p, q), 0, Fraction(q, p), -p)
+        assert parse_scalar(format_scalar(x)) == x
+    assert format_scalar(AN(10 ** 4400)) == "1" + "0" * 4400
+    assert parse_scalar("1" * 4400) == AN((10 ** 4400 - 1) // 9)

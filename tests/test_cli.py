@@ -392,6 +392,37 @@ def test_hpm_string_for_list_is_exit_2(tmp_path, capsys):
                                          field)
 
 
+def test_pm_rotation_of_unknown_vertex_is_exit_2(tmp_path, capsys):
+    # vertex 3 and its two unmatched half-edges were dropped: value "1"
+    doc = {"vertices": [1, 2],
+           "rotation": {"1": ["a"], "2": ["b"], "3": ["c", "d"]},
+           "edges": [["a", "b", "1"]]}
+    code, out = run_cli(capsys, ["pm", write_doc(tmp_path, doc)])
+    assert code == 2
+    assert out == {"error": "StructureError",
+                   "message": "rotation of unknown vertex 3"}
+
+
+def test_hpm_rotation_of_unknown_node_is_exit_2(tmp_path, capsys):
+    doc = hpm_doc([1, 2])
+    doc["rotation"]["zz"] = ["q", "r"]
+    code, out = run_cli(capsys, ["hpm", write_doc(tmp_path, doc)])
+    assert code == 2
+    assert out == {"error": "StructureError",
+                   "message": "rotation of unknown node 'zz'"}
+
+
+def test_hpm_duplicate_vertex_is_exit_2(tmp_path, capsys):
+    # with the incidence grid built lazily, the closed form would count 4
+    doc = {"vertices": [1, 1],
+           "hyperedges": [{"id": "e", "members": [1]},
+                          {"id": "f", "members": [1]}],
+           "rotation": {"1": ["a", "b"], "e": ["a"], "f": ["b"]}}
+    code, out = run_cli(capsys, ["hpm", write_doc(tmp_path, doc)])
+    assert code == 2
+    assert out["error"] == "StructureError"
+
+
 # -- verify ---------------------------------------------------------------------
 
 
