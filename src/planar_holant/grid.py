@@ -11,6 +11,7 @@ embedding, ``_embedding``, gives its faces, components and a spanning forest.
 import itertools
 import json
 import os
+from collections import Counter
 
 from .algebra import AN, ONE, ZERO
 from .sigcalc import (
@@ -77,17 +78,13 @@ class PlanarGrid:
         self.dangling = tuple(dangling)
         self.side = dict(side) if side else {}
         self.scalar = AN(scalar)
-        self._index()
-
-    def _index(self):
         for v in self.vertices.values():
             if len(v.rotation) != v.sig.arity:
                 raise StructureError(
                     "vertex %r degree %d != signature arity %d"
                     % (v.id, len(v.rotation), v.sig.arity))
-        self.half_owner, self.partner = _link(
-            {v.id: v.rotation for v in self.vertices.values()}, self.edges,
-            self.dangling)
+        self.half_owner, self.partner = _link(self._rotations(), self.edges,
+                                              self.dangling)
 
     def edge_index(self):
         """Half-edge id -> index of its edge in ``edges``."""
@@ -107,18 +104,12 @@ class PlanarGrid:
         return {v.id: v.rotation for v in self.vertices.values()}
 
     def validate(self):
-        """(faces, genus_ok): Euler characteristic 2 per component.
-
-        Dangling edges are closed off through a virtual outer vertex whose
-        rotation reverses the declared counterclockwise order, which also
-        checks that the dangling edges can sit on a common outer face.
-        """
+        """(faces, genus_ok): Euler characteristic 2 per component.  Dangling
+        edges are closed off through a virtual outer vertex whose rotation
+        reverses their declared counterclockwise order, so they must sit on
+        one outer face; with none, that vertex is a component of its own."""
         rotations = self._rotations()
-        if not self.dangling:
-            faces, _, _, ok = _embedding(rotations, self.half_owner,
-                                         self.partner)
-            return faces, ok
-        virt_halves = ["__virt_%d" % k for k in range(len(self.dangling))]
+        virt_halves = _fresh_ids(self, len(self.dangling), "__virt_")
         closed = dict(rotations)
         closed[_VIRTUAL] = list(reversed(virt_halves))
         faces, _, _, ok = _embedding(closed, *_link(
@@ -134,7 +125,7 @@ class PlanarGrid:
         if self.dangling:
             raise StructureError("holant needs a closed grid; use gate_signature")
         self._check_cap(cap)
-        return self.scalar * _contract(self, {})
+        return self.scalar * _contract(self).get((), ZERO)
 
     def _check_cap(self, cap):
         if len(self.edges) > edge_cap(cap):
@@ -149,12 +140,11 @@ class PlanarGrid:
         if len(set(label.values())) > 1:
             raise StructureError("multi-component gates are not supported")
         self._check_cap(cap)
-        m = len(self.dangling)
-        ents = []
-        for idx in range(1 << m):
-            pins = {h: (idx >> (m - 1 - i)) & 1 for i, h in enumerate(self.dangling)}
-            ents.append(self.scalar * _contract(self, pins))
-        return GeneralSignature(m, ents)
+        sums, m = _contract(self), len(self.dangling)
+        # product() lists the bits with x1 as the top one
+        return GeneralSignature(m, [
+            self.scalar * sums.get(bits, ZERO)
+            for bits in itertools.product((0, 1), repeat=m)])
 
 
 # the id of the virtual vertex that closes off dangling edges in validate
@@ -183,8 +173,7 @@ def _link(rotations, edges, dangling=()):
             if h in seen:
                 raise StructureError("half-edge %r in two edges" % (h,))
             seen.add(h)
-        partner[a] = b
-        partner[b] = a
+        partner[a], partner[b] = b, a
     for h in dangling:
         if h not in half_owner:
             raise StructureError("dangling unknown half-edge %r" % (h,))
@@ -284,75 +273,55 @@ class _DisjointSet:
         return True
 
 
-def _contract(grid, pinned):
-    """Sum over assignments of matched edges; dangling bits fixed by `pinned`."""
-    edge_of = grid.edge_index()
-    states = {(): ONE}
-    open_edges = []  # edges with exactly one processed endpoint, in state-key order
+def _contract(grid):
+    """{dangling bits, in ``grid.dangling`` order: the nonzero sum over the
+    matched edges' assignments of the product of the vertex signatures}.
+
+    Each edge is one variable, named by both its halves, and each dangling
+    half-edge one that is never summed out.  A vertex enumerates only the
+    variables it opens; a variable is summed out at its last end.
+    """
+    var = grid.edge_index()
+    var.update((h, ~i) for i, h in enumerate(grid.dangling))
+    states, open_vars = {(): ONE}, []  # open_vars: the keys' variables
     for vid in _vertex_order(grid):
         v = grid.vertices[vid]
-        fixed = {}       # slot -> pinned bit
-        closing = {}     # slot -> position in open_edges
-        fresh = []       # slots opening edges toward unprocessed vertices
-        loop_first = {}  # self-loop edge id -> first slot
-        loop_pairs = {}  # second self-loop slot -> first slot
+        # an input set to 1 adds its weight to the entry index: 1 for a
+        # symmetric signature, its bit in rotation order for a general one
+        general = not isinstance(v.sig, SymmetricSignature)
+        reads = {}  # key position -> weight, of the variables closed here
+        opens, loops = {}, set()  # opened here: variable -> weight; self-loops
         for i, h in enumerate(v.rotation):
-            if h in pinned:
-                fixed[i] = pinned[h]
-                continue
-            ei = edge_of[h]
-            if grid.half_owner[grid.partner[h]] == vid:
-                if ei in loop_first:
-                    loop_pairs[i] = loop_first[ei]
-                else:
-                    loop_first[ei] = i
-            elif ei in open_edges:
-                closing[i] = open_edges.index(ei)
+            x, wt = var[h], 1 << (v.sig.arity - 1 - i) if general else 1
+            if x in open_vars:
+                reads[open_vars.index(x)] = wt
             else:
-                fresh.append(i)
-        closed = {open_edges[p] for p in closing.values()}
-        keep_pos = [p for p, e in enumerate(open_edges) if e not in closed]
-        enum_slots = fresh + sorted(loop_first.values())
+                if x in opens:  # the second half of a self-loop
+                    loops.add(x)
+                opens[x] = opens.get(x, 0) + wt
+        keep = [p for p in range(len(open_vars)) if p not in reads]
+        # per assignment of the opened variables: (index added, key bits of
+        # those that stay open)
+        choices = [(sum(b * opens[x] for b, x in zip(bits, opens)),
+                    tuple(b for b, x in zip(bits, opens) if x not in loops))
+                   for bits in itertools.product((0, 1), repeat=len(opens))]
+        table = [None if e.is_zero() else e for e in v.sig.entries]
         new_states = {}
-        deg = len(v.rotation)
         for key, weight in states.items():
-            base = [None] * deg
-            for i, bit in fixed.items():
-                base[i] = bit
-            for i, pos in closing.items():
-                base[i] = key[pos]
-            kept = tuple(key[p] for p in keep_pos)
-            for mask in range(1 << len(enum_slots)):
-                bits = list(base)
-                for j, i in enumerate(enum_slots):
-                    bits[i] = (mask >> j) & 1
-                for i, first in loop_pairs.items():
-                    bits[i] = bits[first]
-                val = _sig_value(v.sig, bits)
-                if val.is_zero():
-                    continue
-                nkey = kept + tuple(bits[i] for i in fresh)
-                w = weight * val
-                if nkey in new_states:
-                    new_states[nkey] = new_states[nkey] + w
-                else:
-                    new_states[nkey] = w
-        open_edges = [open_edges[p] for p in keep_pos] + \
-            [edge_of[v.rotation[i]] for i in fresh]
+            kept = tuple([key[p] for p in keep])
+            base = sum([key[p] * wt for p, wt in reads.items()])
+            for add, tail in choices:
+                val = table[base + add]
+                if val is not None:
+                    w, nkey = weight * val, kept + tail
+                    old = new_states.get(nkey)
+                    new_states[nkey] = w if old is None else old + w
         states = new_states
-        if not states:
-            return ZERO
-    total = ZERO
-    for key, w in states.items():
-        assert key == ()
-        total = total + w
-    return total
-
-
-def _sig_value(s, bits):
-    if isinstance(s, SymmetricSignature):
-        return s[sum(bits)]
-    return s.value(bits)
+        open_vars = [open_vars[p] for p in keep] + \
+            [x for x in opens if x not in loops]
+    order = [open_vars.index(var[h]) for h in grid.dangling]
+    return {tuple([key[p] for p in order]): w
+            for key, w in states.items() if not w.is_zero()}
 
 
 def _vertex_order(grid):
@@ -376,9 +345,9 @@ def _vertex_order(grid):
 
 # -- grid rewrites -----------------------------------------------------------
 
-def _fresh_ids(grid, count):
-    """The first ``count`` of "s0", "s1", ... that grid does not use."""
-    ids = ("s%d" % k for k in itertools.count())
+def _fresh_ids(grid, count, prefix="s"):
+    """The first ``count`` of prefix + "0", "1", ... not used by grid."""
+    ids = (prefix + str(k) for k in itertools.count())
     return list(itertools.islice(
         (h for h in ids if h not in grid.half_owner), count))
 
@@ -403,8 +372,7 @@ def two_stretch(grid):
             vid = ("eq", ei, k)
         new_vertices.append(Vertex(vid, equality(2), [ha, hb]))
         side[vid] = "L"
-        new_edges.append((a, ha))
-        new_edges.append((b, hb))
+        new_edges += [(a, ha), (b, hb)]
     return PlanarGrid(new_vertices, new_edges, grid.dangling, side, grid.scalar)
 
 
@@ -479,64 +447,71 @@ def _signatures_from_json(doc):
                                              "signatures").items()}
 
 
+def _json_id(x):
+    """An id read from a JSON value: the value, but a list becomes a tuple."""
+    return tuple(map(_json_id, x)) if isinstance(x, list) else x
+
+
+def _json_ids(values, field):
+    """A document's JSON list of ids, as ``_json_id`` reads each."""
+    values = _json_list(values, field)
+    return list(map(_json_id, values)) if list in map(type, values) else values
+
+
+def _json_key(x):
+    """The object key of an id: JSON text for a tuple, else ``str(x)``."""
+    return json.dumps(x) if isinstance(x, tuple) else str(x)
+
+
+def _json_keyed(obj, ids, field, unknown=None):
+    """The object ``obj`` of a document's ``field`` as {id: value}, each key
+    read as the id of ``ids`` written under it.  A key that names two ids is
+    a StructureError; one that names none is kept, or, given a message like
+    "rotation of unknown vertex %r", is a StructureError."""
+    obj = _json_object(obj, field)
+    ids = set(ids) if obj else set()
+    named = {_json_key(x): x for x in ids}
+    shared = Counter(map(_json_key, ids)) if len(named) < len(ids) else {}
+    out = {}
+    for k, value in obj.items():
+        k = _json_key(k)  # the key as written, also for a dict built in Python
+        if shared.get(k, 0) > 1:
+            raise StructureError("%s key %r names %d ids" % (field, k, shared[k]))
+        if k not in named and unknown:  # a key that spells an int shows as one
+            raise StructureError(unknown % (
+                int(k) if k.lstrip("-").isdecimal() else k,))
+        out[named.get(k, k)] = value
+    return out
+
+
 def grid_from_json(doc):
     sigs = _signatures_from_json(doc)
     vertices = []
     for vd in doc["vertices"]:
         if vd["sig"] not in sigs:
             raise StructureError("unknown signature %r" % vd["sig"])
-        vid = vd["id"]
-        if isinstance(vid, list):  # a tuple id; other ids stay as written
-            vid = _json_id(vid)
-        vertices.append(Vertex(vid, sigs[vd["sig"]],
-                               _json_list(vd["rotation"], "rotation")))
-    ids = {v.id for v in vertices}
-    side = {}
-    for k, s in _json_object(doc.get("side") or {}, "side").items():
-        key = _json_id(k)
-        if key not in ids and str(k).startswith("["):
-            try:  # a tuple key, written as a JSON list by grid_to_json
-                key = _json_id(json.loads(k))
-            except ValueError:
-                pass
-        side[key] = s
-    scalar = _json_scalar(doc["scalar"]) if "scalar" in doc else ONE
-    return PlanarGrid(vertices,
-                      [tuple(_json_list(e, "edges")) for e in doc["edges"]],
-                      _json_list(doc.get("dangling", []), "dangling"),
-                      side, scalar)
-
-
-def _json_id(x):
-    """An id as it was before a JSON round trip, which writes tuples as
-    lists and object keys as strings: a list becomes a tuple again and a
-    key holding an int becomes the int."""
-    if isinstance(x, list):
-        return tuple(_json_id(e) if isinstance(e, list) else e for e in x)
-    try:
-        return int(x)
-    except (TypeError, ValueError):
-        return x
+        vertices.append(Vertex(_json_id(vd["id"]), sigs[vd["sig"]],
+                               _json_ids(vd["rotation"], "rotation")))
+    return PlanarGrid(
+        vertices, [_json_ids(e, "edges") for e in doc["edges"]],
+        _json_ids(doc.get("dangling", []), "dangling"),
+        _json_keyed(doc.get("side") or {}, (v.id for v in vertices), "side"),
+        _json_scalar(doc["scalar"]) if "scalar" in doc else ONE)
 
 
 def grid_to_json(grid):
-    sigs = {}
-    names = {}
+    names = {}  # entries -> signature name
     for v in grid.vertices.values():
-        key = v.sig.entries
-        if key not in names:
-            names[key] = "f%d" % len(names)
-            sigs[names[key]] = [str(e) for e in v.sig.entries]
+        names.setdefault(v.sig.entries, "f%d" % len(names))
     return {
-        "signatures": sigs,
+        "signatures": {name: [str(e) for e in entries]
+                       for entries, name in names.items()},
         "vertices": [{"id": v.id, "sig": names[v.sig.entries],
                       "rotation": list(v.rotation)}
                      for v in grid.vertices.values()],
         "edges": [list(e) for e in grid.edges],
         "dangling": list(grid.dangling),
-        # tuple keys as JSON lists, which grid_from_json reads back as tuples
-        "side": {(json.dumps(k) if isinstance(k, tuple) else str(k)): v
-                 for k, v in grid.side.items()},
+        "side": {_json_key(k): v for k, v in grid.side.items()},
         "scalar": str(grid.scalar),
     }
 

@@ -105,7 +105,7 @@ def equality(k):
     """=_k = [1,0,...,0,1]."""
     if k < 1:
         raise ArityError("equality needs arity >= 1")
-    return gen_eq(1, 1, k)
+    return SymmetricSignature([1] + [0] * (k - 1) + [1])
 
 
 def diseq2():

@@ -51,8 +51,10 @@ from .grid import (
     _DisjointSet,
     _embedding,
     _json_id,
+    _json_ids,
+    _json_key,
+    _json_keyed,
     _json_list,
-    _json_object,
     _json_scalar,
     _link,
     edge_cap,
@@ -356,18 +358,20 @@ def fkt_count_pm(g):
 
 
 def weighted_graph_from_json(doc):
+    vertices = _json_ids(doc["vertices"], "vertices")
     return WeightedPlanarGraph(
-        _json_list(doc["vertices"], "vertices"),
-        {_json_id(k): _json_list(v, "rotation")
-         for k, v in _json_object(doc["rotation"], "rotation").items()},
-        [(a, b, _json_scalar(w))
+        vertices,
+        {v: _json_ids(r, "rotation")
+         for v, r in _json_keyed(doc["rotation"], vertices, "rotation",
+                                 "rotation of unknown vertex %r").items()},
+        [(_json_id(a), _json_id(b), _json_scalar(w))
          for a, b, w in (_json_list(e, "edges") for e in doc["edges"])])
 
 
 def weighted_graph_to_json(g):
     return {
         "vertices": list(g.vertex_ids),
-        "rotation": {str(v): list(r) for v, r in g.rotation.items()},
+        "rotation": {_json_key(v): list(r) for v, r in g.rotation.items()},
         "edges": [[a, b, str(w)] for (a, b, w) in g.edges],
     }
 
@@ -1354,33 +1358,32 @@ class PlanarHypergraph:
         vertex sees the negation of the hyperedge indicator through the
         disequality edge), so selecting exactly one incident hyperedge per
         vertex is exactly a perfect matching.  An uncovered vertex carries
-        [0]: it admits no perfect matching.
+        [0]: it admits no perfect matching.  Every node id is a pair tagged
+        "v", "he" or "ne", and every half-edge id its node's pair plus one
+        entry, so no hypergraph id names a node or half-edge of the grid.
         """
         verts, owner = [], {}
         for node in self.vertices:
             rot = self.rotation.get(node, ())
             owner.update(dict.fromkeys(rot, node))
-            verts.append(Vertex(node, all_but_one(len(rot)),
-                                ["v%r_%r" % (node, h) for h in rot]) if rot
-                         else Vertex(("iso", node), SymmetricSignature([0]),
-                                     []))
+            verts.append(Vertex(
+                ("v", node),
+                all_but_one(len(rot)) if rot else SymmetricSignature([0]),
+                [("v", node, half) for half in rot]))
         for (h, _) in self.hyperedges:
             rot = self.rotation.get(h, ())
             if rot:
-                verts.append(Vertex(
-                    ("he", h), equality(len(rot)) if len(rot) > 1
-                    else SymmetricSignature([1, 1]),
-                    ["h%r_%r" % (h, half) for half in rot]))
+                verts.append(Vertex(("he", h), equality(len(rot)),
+                                    [("he", h, half) for half in rot]))
         side = dict.fromkeys((v.id for v in verts), "R")
         edges = []
         for (h, _) in self.hyperedges:
             for half in self.rotation.get(h, ()):
-                mid = len(edges) // 2
-                la, lb = "L%d_a" % mid, "L%d_b" % mid
-                verts.append(Vertex(("ne", mid), diseq2(), [la, lb]))
-                side[("ne", mid)] = "L"
-                edges += [("h%r_%r" % (h, half), la),
-                          ("v%r_%r" % (owner[half], half), lb)]
+                mid = ("ne", len(edges) // 2)
+                verts.append(Vertex(mid, diseq2(), [mid + (0,), mid + (1,)]))
+                side[mid] = "L"
+                edges += [(("he", h, half), mid + (0,)),
+                          (("v", owner[half], half), mid + (1,))]
         return PlanarGrid(verts, edges, side=side)
 
     def holant_grid(self):
@@ -1415,13 +1418,16 @@ def hypergraph_pm(h, cap=None):
 
 
 def hypergraph_from_json(doc):
+    vertices = _json_ids(doc["vertices"], "vertices")
+    hyperedges = [(_json_id(e["id"]), _json_ids(e["members"], "members"))
+                  for e in doc["hyperedges"]]
     return PlanarHypergraph(
-        [_json_id(v) for v in _json_list(doc["vertices"], "vertices")],
-        [(_json_id(e["id"]),
-          [_json_id(m) for m in _json_list(e["members"], "members")])
-         for e in doc["hyperedges"]],
-        {_json_id(k): _json_list(v, "rotation")
-         for k, v in _json_object(doc["rotation"], "rotation").items()})
+        vertices, hyperedges,
+        {k: _json_ids(r, "rotation")
+         for k, r in _json_keyed(doc["rotation"],
+                                 vertices + [h for h, _ in hyperedges],
+                                 "rotation",
+                                 "rotation of unknown node %r").items()})
 
 
 def hypergraph_to_json(h):
@@ -1429,7 +1435,7 @@ def hypergraph_to_json(h):
         "vertices": list(h.vertices),
         "hyperedges": [{"id": he, "members": list(m)}
                        for (he, m) in h.hyperedges],
-        "rotation": {str(k): list(v) for k, v in h.rotation.items()},
+        "rotation": {_json_key(k): list(v) for k, v in h.rotation.items()},
     }
 
 

@@ -4,7 +4,7 @@ import io
 import json
 import sys
 
-from planar_holant import cli
+from planar_holant import cli, solvers
 from planar_holant.algebra import AN, I
 from planar_holant.grid import grid_to_json, grid_from_json
 from planar_holant.sigcalc import sig, equality, transform, Z
@@ -677,3 +677,77 @@ def test_eval_reads_every_present_scalar(tmp_path, capsys):
     doc["scalar"] = []
     code, out = run_cli(capsys, ["eval", write_doc(tmp_path, doc)])
     assert (code, out["error"]) == (2, "TypeError")
+
+
+# -- JSON ids ------------------------------------------------------------------
+
+
+def test_pm_string_vertex_ids(tmp_path, capsys):
+    doc = {"vertices": ["1", "2"], "rotation": {"1": ["a"], "2": ["b"]},
+           "edges": [["a", "b", "3"]]}
+    assert run_cli(capsys, ["pm", write_doc(tmp_path, doc)]) == \
+        (0, {"value": "3"})
+
+
+def test_hpm_ids_that_read_as_one_int_stay_apart(tmp_path, capsys):
+    doc = {"vertices": ["1", "01"],
+           "hyperedges": [{"id": "h", "members": ["1", "01"]}],
+           "rotation": {"1": ["a"], "01": ["b"], "h": ["a", "b"]}}
+    code, out = run_cli(capsys, ["hpm", write_doc(tmp_path, doc)])
+    assert (code, out["value"]) == (0, "1")
+
+
+def test_hpm_member_must_be_written_as_its_vertex(tmp_path, capsys):
+    doc = hpm_doc([1, 2])
+    doc["hyperedges"][0]["members"] = ["1", 2]
+    code, out = run_cli(capsys, ["hpm", write_doc(tmp_path, doc)])
+    assert (code, out["error"]) == (2, "StructureError")
+    assert "members disagree" in out["message"]
+
+
+def test_rotation_key_naming_two_ids_is_exit_2(tmp_path, capsys):
+    doc = {"vertices": [1, "1"], "rotation": {"1": ["a", "b"]},
+           "edges": [["a", "b", "1"]]}
+    code, out = run_cli(capsys, ["pm", write_doc(tmp_path, doc)])
+    assert out == {"error": "StructureError",
+                   "message": "rotation key '1' names 2 ids"}
+    assert code == 2
+
+
+def test_transform_side_keys_name_string_ids(tmp_path, capsys):
+    eq2, f = ["1", "0", "1"], ["1", "2", "0", "1"]
+    doc = {"signatures": {"eq2": eq2, "f": f},
+           "vertices": [{"id": "1", "sig": "f", "rotation": ["a0", "a1", "a2"]},
+                        {"id": "2", "sig": "f", "rotation": ["b2", "b1", "b0"]}]
+           + [{"id": "m%d" % j, "sig": "eq2", "rotation": ["m%d" % j, "n%d" % j]}
+              for j in range(3)],
+           "edges": [pair for j in range(3)
+                     for pair in (["a%d" % j, "m%d" % j], ["n%d" % j, "b%d" % j])],
+           "side": dict({"1": "R", "2": "R"},
+                        **{"m%d" % j: "L" for j in range(3)})}
+    code, out = run_cli(capsys, ["transform", "--matrix", "1,2;1,3",
+                                 write_doc(tmp_path, doc)])
+    assert code == 0
+    assert out["grid"]["side"] == doc["side"]
+    assert naive_holant(grid_from_json(out["grid"])) == \
+        naive_holant(grid_from_json(doc))
+
+
+def test_tuple_ids_survive_every_writer(tmp_path, capsys):
+    g = solvers.WeightedPlanarGraph(
+        [("v", 0), ("v", 1)], {("v", 0): [("h", 0)], ("v", 1): [("h", 1)]},
+        [(("h", 0), ("h", 1), 3)])
+    doc = json.loads(json.dumps(solvers.weighted_graph_to_json(g)))
+    assert solvers.weighted_graph_from_json(doc).rotation == g.rotation
+    assert run_cli(capsys, ["pm", write_doc(tmp_path, doc)]) == \
+        (0, {"value": "3"})
+    h = solvers.PlanarHypergraph(
+        [("v", 0), ("v", 1)], [(("e", 0), [("v", 0), ("v", 1)])],
+        {("v", 0): [("i", 0)], ("v", 1): [("i", 1)],
+         ("e", 0): [("i", 0), ("i", 1)]})
+    doc = json.loads(json.dumps(solvers.hypergraph_to_json(h)))
+    h2 = solvers.hypergraph_from_json(doc)
+    assert (h2.vertices, h2.hyperedges, h2.rotation) == \
+        (h.vertices, h.hyperedges, h.rotation)
+    code, out = run_cli(capsys, ["hpm", write_doc(tmp_path, doc)])
+    assert (code, out["value"]) == (0, "1")

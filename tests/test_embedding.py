@@ -298,6 +298,32 @@ def test_hypergraph_refuses_duplicate_and_unknown_ids():
                           "zz": ["q", "r"]})
 
 
+def test_hypergraph_ids_never_name_incidence_grid_nodes():
+    # ids equal to the node and half-edge names the grid used before
+    he, ne = ("he", "e"), ("ne", 0)
+    h = PlanarHypergraph([he, 1], [("e", [he, 1])],
+                         {he: ["a"], 1: ["b"], "e": ["a", "b"]})
+    assert hypergraph_pm(h)[1] == ONE  # fkt
+    assert h.holant_grid().holant() == ONE
+    members = [he, ne, ("v", 1), ("iso", 2), "v1_'a'"]
+    rotation = dict({m: ["i%d" % j] for j, m in enumerate(members)},
+                    e=["i%d" % j for j in range(5)])
+    h = PlanarHypergraph(members + [("iso", 3)], [("e", members)], rotation)
+    assert hypergraph_pm(h)[1] == AN(0)  # ("iso", 3) is uncovered
+    h = PlanarHypergraph(members, [("e", members)], rotation)
+    verdict, value = hypergraph_pm(h)
+    assert verdict.route == "eo" and value == ONE
+    assert h.holant_grid().holant() == ONE
+    # sizes {1, 2} are hard: brute force on the grid
+    h = PlanarHypergraph([he, ("he", "f")],
+                         [("e", [he]), ("f", [he, ("he", "f")]),
+                          ("g", [("he", "f")])],
+                         {he: ["a", "b"], ("he", "f"): ["c", "d"],
+                          "e": ["a"], "f": ["b", "c"], "g": ["d"]})
+    verdict, value = hypergraph_pm(h)
+    assert not verdict.tractable and value == AN(2)
+
+
 def test_weighted_graph_refuses_rotation_of_unknown_vertex():
     with pytest.raises(StructureError, match="unknown vertex 3"):
         WeightedPlanarGraph([1, 2], {1: ["a"], 2: ["b"], 3: ["c", "d"]},

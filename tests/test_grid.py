@@ -313,6 +313,45 @@ def test_dangling_order_off_the_outer_face():
     assert ok and any("__virt_0" in face for face in faces)
 
 
+def test_virtual_halves_skip_names_in_use():
+    # a dangling grid whose own half-edges are named like validate's
+    g = PlanarGrid([Vertex(0, equality(3), ["__virt_0", "__virt_2", "x"]),
+                    Vertex(1, exact_one(1), ["y"])],
+                   [("x", "y")], dangling=["__virt_0", "__virt_2"])
+    faces, ok = g.validate()
+    assert ok and any("__virt_1" in face for face in faces)
+    assert [str(e) for e in g.gate_signature().entries] == ["0", "0", "0", "1"]
+
+
+def test_json_round_trip_keeps_tuple_ids():
+    eq = sig([1, 0, 1])
+    g = PlanarGrid([Vertex(("v", 0), eq, [("h", 0), ("h", 1)]),
+                    Vertex(("v", (1, 2)), sig([1, 2, 3, 4]),
+                           [("h", 2), ("h", 3), ("d", 0)])],
+                   [(("h", 0), ("h", 2)), (("h", 1), ("h", 3))],
+                   dangling=[("d", 0)], side={("v", 0): "L",
+                                              ("v", (1, 2)): "R"})
+    g2 = grid_from_json(json.loads(json.dumps(grid_to_json(g))))
+    assert {v.id: v.rotation for v in g2.vertices.values()} == \
+        {v.id: v.rotation for v in g.vertices.values()}
+    assert (g2.edges, g2.dangling, g2.side) == (g.edges, g.dangling, g.side)
+    assert g2.gate_signature().entries == g.gate_signature().entries
+
+
+def test_json_ids_keep_their_type():
+    # string ids that read as ints stay strings; side keys name them
+    doc = {"signatures": {"eq": ["1", "0", "1"]},
+           "vertices": [{"id": "1", "sig": "eq", "rotation": ["a", "b"]},
+                        {"id": 2, "sig": "eq", "rotation": ["c", "d"]}],
+           "edges": [["a", "c"], ["b", "d"]],
+           "side": {"1": "L", "2": "R"}}
+    g = grid_from_json(doc)
+    assert set(g.vertices) == {"1", 2} and g.side == {"1": "L", 2: "R"}
+    doc["vertices"][1]["id"] = 1  # ids 1 and "1" share the key "1"
+    with pytest.raises(StructureError, match="names 2 ids"):
+        grid_from_json(doc)
+
+
 def test_json_keeps_string_ids_that_look_like_lists():
     eq = sig([1, 0, 1])
     g = PlanarGrid([Vertex("[0]", eq, ["a", "b"]), Vertex("[1, 2]", eq, ["c", "d"])],

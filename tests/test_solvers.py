@@ -874,6 +874,66 @@ def test_eo_z_side_reader(seed):
     assert eo_geneq_eval(EOInstance.z_side(z)) == eo_geneq_eval(old)
 
 
+def with_self_loop(g, seed):
+    """The EO-side grid g with one self-loop added through a disequality
+    between two new consecutive halves, so the grid stays genus 0.  By seed:
+    at an exact-one; at an exact-one of arity 3 that takes the place of a
+    pin [w, 0], which scales the value by 2c for the loop's [0, c, 0]; or
+    at an equality, which also takes three pins so that its arity stays a
+    multiple of 5.  A kind g has no room for gives way to the next one.
+    Returns the grid and the kind looped."""
+    rnd = random.Random("loop-%d" % seed)
+    verts = {v.id: v for v in g.vertices.values()}
+    side, edges = dict(g.side), list(g.edges)
+    right = [v for v in verts.values() if side[v.id] == "R"]
+    room = {"eo": [v for v in right if v.sig.support() == (1,)],
+            "pin": [v for v in right if v.sig.support() == (0,)],
+            "eq": [v for v in right
+                   if v.sig.arity >= 2 and v.sig.support() != (1,)]}
+    kinds = ["eo", "pin", "eq"] * 2
+    kind = next(k for k in kinds[seed % 3:] if room[k])
+    v = rnd.choice(sorted(room[kind], key=lambda u: repr(u.id)))
+    rot = list(v.rotation)
+    p = rnd.randint(0, len(rot))
+    rot[p:p] = [("loop", 0), ("loop", 1)]
+    links = [(("loop", 0), ("loop", 1))]
+    if kind == "eq":
+        for j in range(3):
+            pin = ("loop-pin", j)
+            rot.append(pin)
+            verts[pin] = Vertex(pin, SymmetricSignature(
+                [rnd_w(rnd), ZERO] if rnd.random() < 0.5
+                else [ZERO, rnd_w(rnd)]), [pin + ("end",)])
+            side[pin] = "R"
+            links.append((pin, pin + ("end",)))
+        f = gen_eq(v.sig[0], v.sig[v.sig.arity], len(rot))
+    else:
+        f = exact_one(len(rot)).scale(v.sig[kind == "eo"])
+    verts[v.id] = Vertex(v.id, f, rot)
+    for m, (x, y) in enumerate(links):
+        ne = ("loop-ne", m)
+        verts[ne] = Vertex(ne, SymmetricSignature([ZERO, rnd_w(rnd), ZERO]),
+                           [ne + ("a",), ne + ("b",)])
+        side[ne] = "L"
+        edges += [(x, ne + ("a",)), (y, ne + ("b",))]
+    return PlanarGrid(list(verts.values()), edges, side=side), kind
+
+
+def test_eo_route_with_self_loops_matches_brute():
+    kinds = {"eo": 0, "pin": 0, "eq": 0}
+    nonzero = 0
+    for seed in range(90):
+        g, kind = with_self_loop(build_instance_biased(seed), seed)
+        assert g.validate()[1]
+        z = z_side_grid(g)
+        value = evaluate(z, method="eo")
+        assert value == z.holant(cap=80) == g.holant(cap=80), seed
+        assert eo_geneq_eval(EOInstance(g)) == value, seed
+        kinds[kind] += 1
+        nonzero += not value.is_zero()
+    assert min(kinds.values()) >= 15 and nonzero >= 3, (kinds, nonzero)
+
+
 def nonplanar_case7_grid():
     """6 copies of Z gen_eq(1, 2, 5) and 10 of Z EO_3 joined by a random
     simple bipartite graph of 30 edges, which is not genus 0."""
