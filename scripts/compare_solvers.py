@@ -22,7 +22,7 @@ from planar_holant.solvers import (
 from test_solvers import (
     brute_pm, random_weighted_graph, random_product_grid,
     random_affine_grid, random_vanishing_grid, build_instance_biased,
-    z_side_grid,
+    z_side_grid, with_self_loop,
 )
 
 
@@ -68,6 +68,11 @@ def main():
     bad += race("eo-z-side", lambda g: evaluate(g, method="eo"),
                 lambda g: g.holant(cap=80),
                 [z_side_grid(build_instance_biased(base + s))
+                 for s in range(n)])
+    bad += race("eo-self-loop", lambda g: evaluate(g, method="eo"),
+                lambda g: g.holant(cap=80),
+                [z_side_grid(with_self_loop(build_instance_biased(base + s),
+                                            base + s)[0])
                  for s in range(n)])
     sys.exit(1 if bad else 0)
 

@@ -136,9 +136,6 @@ class PlanarGrid:
         """The F-gate signature over the dangling edges, as a GeneralSignature."""
         if not self.dangling:
             raise StructureError("gate needs dangling edges")
-        label = _embedding(self._rotations(), self.half_owner, self.partner)[1]
-        if len(set(label.values())) > 1:
-            raise StructureError("multi-component gates are not supported")
         self._check_cap(cap)
         sums, m = _contract(self), len(self.dangling)
         # product() lists the bits with x1 as the top one
@@ -463,11 +460,11 @@ def _json_key(x):
     return json.dumps(x) if isinstance(x, tuple) else str(x)
 
 
-def _json_keyed(obj, ids, field, unknown=None):
+def _json_keyed(obj, ids, field, unknown):
     """The object ``obj`` of a document's ``field`` as {id: value}, each key
-    read as the id of ``ids`` written under it.  A key that names two ids is
-    a StructureError; one that names none is kept, or, given a message like
-    "rotation of unknown vertex %r", is a StructureError."""
+    read as the id of ``ids`` written under it.  A key that names two ids,
+    or none, is a StructureError; ``unknown`` is the message for none, like
+    "rotation of unknown vertex %r"."""
     obj = _json_object(obj, field)
     ids = set(ids) if obj else set()
     named = {_json_key(x): x for x in ids}
@@ -477,10 +474,10 @@ def _json_keyed(obj, ids, field, unknown=None):
         k = _json_key(k)  # the key as written, also for a dict built in Python
         if shared.get(k, 0) > 1:
             raise StructureError("%s key %r names %d ids" % (field, k, shared[k]))
-        if k not in named and unknown:  # a key that spells an int shows as one
+        if k not in named:  # a key that spells an int shows as one
             raise StructureError(unknown % (
                 int(k) if k.lstrip("-").isdecimal() else k,))
-        out[named.get(k, k)] = value
+        out[named[k]] = value
     return out
 
 
@@ -495,7 +492,8 @@ def grid_from_json(doc):
     return PlanarGrid(
         vertices, [_json_ids(e, "edges") for e in doc["edges"]],
         _json_ids(doc.get("dangling", []), "dangling"),
-        _json_keyed(doc.get("side") or {}, (v.id for v in vertices), "side"),
+        _json_keyed(doc.get("side") or {}, (v.id for v in vertices), "side",
+                    "side of unknown vertex %r"),
         _json_scalar(doc["scalar"]) if "scalar" in doc else ONE)
 
 

@@ -15,9 +15,10 @@ Five solver families live here:
   linear constraints and a quadratic exponent mod 4 with even cross terms
   (both fold each distinct signature's ``classify`` form);
 * ``vanishing_eval``: grids built from one vanishing class are exactly 0;
-* ``eo_geneq_eval``: the pinning algorithm for weighted equalities of arity
-  gcd >= 5 mixed with exact-one signatures, connected by disequalities; an
-  ``EOInstance`` reads a bipartite grid, or a grid's Z images directly.
+* ``eo_geneq_eval``: the pinning algorithm for weighted equalities (of
+  arity gcd >= 5, or pins: arity 1 with one zero weight) mixed with
+  exact-one signatures, connected by disequalities; an ``EOInstance`` reads
+  a bipartite grid, or a grid's Z images directly.
 
 ``evaluate(grid, method)`` takes the route ``ROUTES[method]``; "auto" tries
 (1) product, affine, vanishing and exact-one FKT on the grid, (2) the route
@@ -628,23 +629,24 @@ def vanishing_eval(grid):
 # ---------------------------------------------------------------------------
 
 class EOInstance:
-    """A closed instance of the pinning solver: generalized equalities,
-    exact-one signatures and pins, their half-edges joined in pairs by
-    disequalities.
+    """A closed instance of the pinning solver: weighted equalities and
+    exact-one signatures, their half-edges joined in pairs by disequalities.
 
     ``EOInstance(grid)`` reads a bipartition-tagged grid, whose left
     disequalities [0, c, 0] link the right signatures' half-edges.
     ``EOInstance.z_side(grid)`` reads a closed grid in the Z basis: each
     signature is its Z image ``f.zhat()``, each edge the disequality
-    (=_2) Z^{tensor 2} = [0, 2, 0].  One reader serves both.  It splits
-    degenerate signatures into pins.  When the matching side arrives
-    reversed (all-but-one, not exact-one), it reads every signature
-    reversed; flipping every bit keeps each disequality, so the value holds.
+    (=_2) Z^{tensor 2} = [0, 2, 0].  One reader serves both.  It splits a
+    degenerate signature c (w0, w1)^{tensor n} with w0 or w1 zero into n
+    pins, each the weighted equality (w0, w1) of arity 1.  When the matching
+    side arrives reversed (all-but-one, not exact-one), it reads every
+    signature reversed; flipping every bit keeps each disequality, so the
+    value holds.
 
     ``nodes`` holds (kind, payload, end): "eq" with (w0, w1) and end sign 0,
-    "eo" with its weight on every end, "pin" with (c0, c1), one of them 0.
-    ``edges`` pairs node indices; ``k`` is the gcd of the equality arities
-    (0 without equalities).
+    "eo" with its weight on every end.  ``edges`` pairs node indices; ``k``
+    is the gcd of the arities of the generalized equalities, pins left out
+    (0 without them).
     """
 
     def __init__(self, grid):
@@ -716,23 +718,23 @@ class EOInstance:
             raise ClassError(
                 "%r is not a weighted equality, exact-one or pin" % f)
         self.scalar = self.scalar * form.scalar
-        return [("pin", (form.w0, form.w1), None, (h,)) for h in halves]
+        return [("eq", (form.w0, form.w1), 0, (h,)) for h in halves]
 
 
 class _EOState:
     """Mutable working instance for the pinning algorithm.
 
-    Vertex kinds: "eq" carries support weights (w0, w1) and a sign bit on
-    each incident end; "eo" carries a weight on each end (the value when
-    that end holds the single 1); "pin" carries (c0, c1) with one side zero.
-    Every edge is a disequality between its two ends.
+    Vertex kinds: "eq", a block, carries support weights (w0, w1) and a sign
+    bit on each incident end; "eo" carries a weight on each end (the value
+    when that end holds the single 1).  A pin is a block of degree 1 with
+    one zero weight; every other block has both weights nonzero.  Every edge
+    is a disequality between its two ends.
     """
 
     def __init__(self):
         self.scalar = ONE
         self.kind = {}
         self.eqw = {}
-        self.pinw = {}
         self.ends = {}      # eid -> [[vid, data], [vid, data]]
         self.inc = {}       # vid -> set of (eid, end index)
         self.done = {}      # resolved edges -> value of end 0
@@ -752,8 +754,6 @@ class _EOState:
         self.inc[vid] = set()
         if kind == "eq":
             self.eqw[vid] = list(payload)
-        elif kind == "pin":
-            self.pinw[vid] = payload
         return vid
 
     def add_edge(self, va, da, vb, db):
@@ -767,7 +767,6 @@ class _EOState:
         del self.kind[vid]
         del self.inc[vid]
         self.eqw.pop(vid, None)
-        self.pinw.pop(vid, None)
 
     def detach_edge(self, eid):
         (va, _), (vb, _) = self.ends.pop(eid)
@@ -795,47 +794,26 @@ def _resolve(state, requests):
             raise AssertionError("resolving an unknown edge")
         state.done[eid] = val0
         (va, da), (vb, db) = state.ends[eid]
+        # a self-loop is resolved only by the collapse of its own vertex,
+        # which drops the vertex; the request for its other end then meets
+        # ``done`` above, which zeroes an equal-sign equality loop
+        assert va != vb or va not in state.kind
         state.detach_edge(eid)
-        if va == vb:
-            _absorb_loop(state, va, da, db, val0, requests)
-            continue
         _absorb(state, va, da, val0, requests)
         if not state.zero:
             _absorb(state, vb, db, 1 - val0, requests)
 
 
-def _absorb_loop(state, v, da, db, val0, requests):
-    if v not in state.kind:
-        return
-    kind = state.kind[v]
-    if kind == "eq":
-        if (val0 ^ da) != ((1 - val0) ^ db):
-            state.zero = True
-            return
-        _collapse_eq(state, v, val0 ^ da, requests)
-    elif kind == "eo":
-        state.mul(da if val0 == 1 else db)
-        _collapse_eo(state, v, requests)
-    else:
-        raise AssertionError("pins have a single end")
-
-
 def _absorb(state, v, data, endval, requests):
     if v not in state.kind:
         return
-    kind = state.kind[v]
-    if kind == "pin":
-        c = state.pinw[v][endval]
-        state.mul(c)
-        state.drop_vertex(v)
-    elif kind == "eq":
+    if state.kind[v] == "eq":
         _collapse_eq(state, v, endval ^ data, requests)
-    else:
-        if endval == 1:
-            state.mul(data)
-            _collapse_eo(state, v, requests)
-        elif not state.inc[v]:
-            state.zero = True
+    elif endval == 1:
+        state.mul(data)
+        _collapse_eo(state, v, requests)
+    elif not state.inc[v]:
+        state.zero = True
 
 
 def _collapse_eq(state, v, value, requests):
@@ -888,8 +866,6 @@ def _pairs_between(state):
     out = {}
     for eid in sorted(state.ends):
         (va, _), (vb, _) = state.ends[eid]
-        if va == vb:
-            continue
         key = (min(va, vb), max(va, vb))
         out.setdefault(key, []).append(eid)
     return out
@@ -897,13 +873,16 @@ def _pairs_between(state):
 
 def _simplify_step(state):
     """Apply one local rewrite; True when something fired."""
-    # pins force their edge
+    # a block of degree 1 with a zero weight (a pin) forces its edge to the
+    # nonzero side
     for v in sorted(state.kind):
-        if state.kind[v] == "pin":
-            c0, c1 = state.pinw[v]
-            [(eid, idx)] = list(state.inc[v])
-            _resolve(state, [(eid, idx, 1 if c0.is_zero() else 0)])
-            return True
+        if state.kind[v] == "eq" and len(state.inc[v]) == 1:
+            w0, w1 = state.eqw[v]
+            if w0.is_zero() or w1.is_zero():
+                reqs = []
+                _collapse_eq(state, v, int(w0.is_zero()), reqs)
+                _resolve(state, reqs)
+                return True
     # tiny vertices
     for v in sorted(state.kind):
         kind = state.kind[v]
@@ -1002,7 +981,9 @@ def _simplify_step(state):
         _collapse_eo(state, eo, reqs)
         _resolve(state, reqs)
         return True
-    # arity-2 blocks act as weighted disequality connectors
+    # arity-2 blocks act as weighted disequality connectors; the rules above
+    # leave no self-loop, no edge between two blocks or two exact-ones and
+    # no parallel edges, so both neighbours are distinct exact-ones
     for v in sorted(state.kind):
         if state.kind[v] != "eq" or len(state.inc[v]) != 2:
             continue
@@ -1011,13 +992,10 @@ def _simplify_step(state):
         d2 = state.ends[e2][i2][1]
         u = state.ends[e1][1 - i1][0]
         w = state.ends[e2][1 - i2][0]
-        if u == v or w == v or u == w:
-            continue
+        assert u != w and state.kind[u] == state.kind[w] == "eo"
         if d1 == d2:
             raise PinSearchError(
                 "same-sign arity-2 block: equality arities violate gcd >= 5")
-        if state.kind[u] != "eo" or state.kind[w] != "eo":
-            continue
         w0, w1 = state.eqw[v]
         lam_u = _end_weight(state, e1, u)
         lam_w = _end_weight(state, e2, w)
@@ -1039,10 +1017,7 @@ def _simplify_step(state):
         l2 = state.ends[e2][i2][1]
         b1 = state.ends[e1][1 - i1][0]
         b2 = state.ends[e2][1 - i2][0]
-        if b1 == v or b2 == v or b1 == b2:
-            continue
-        if state.kind[b1] != "eq" or state.kind[b2] != "eq":
-            continue
+        assert b1 != b2 and state.kind[b1] == state.kind[b2] == "eq"
         d1 = state.ends[e1][1 - i1][1]
         d2 = state.ends[e2][1 - i2][1]
         t = 1 ^ d1 ^ d2
@@ -1125,8 +1100,9 @@ def _pin_step(state):
             if (v, eid) not in pseudo_ends:
                 super_slots.setdefault(root, []).append((eid, idx, v))
     # parallel edges between a big block and one super node
+    b_adj = {}  # big block -> {super root: its slots on the block}
     for b in big:
-        by_super = {}
+        by_super = b_adj[b] = {}
         for (eid, idx) in sorted(state.inc[b]):
             other = state.ends[eid][1 - idx][0]
             by_super.setdefault(find(other), []).append((eid, idx))
@@ -1146,8 +1122,10 @@ def _pin_step(state):
             assert reqs, "a super exact-one of arity >= 3 keeps a free end"
             _resolve(state, reqs)
             return
-    # simple bipartite graph: only the wheel structure remains (k = 5)
-    _wheel_step(state, big, find, super_slots)
+    # a simple bipartite graph, one slot per block and super: only the
+    # wheel structure remains (k = 5)
+    _wheel_step(state, {b: {root: slot for root, [slot] in by_super.items()}
+                        for b, by_super in b_adj.items()}, super_slots)
 
 
 def _find_cycle(pairs):
@@ -1186,21 +1164,13 @@ def _find_cycle(pairs):
     return None
 
 
-def _wheel_step(state, big, find, super_slots):
+def _wheel_step(state, b_adj, super_slots):
     """Pin through a wheel: a degree-5 all-equal-sign block whose five
-    neighbors close a 5-cycle via five distinct rim blocks."""
+    neighbors close a 5-cycle via five distinct rim blocks.  ``b_adj`` maps
+    each big block to {super root: the one slot (eid, idx) between them}."""
     super_deg = {root: len(slots) for root, slots in super_slots.items()}
-    # adjacency: block -> supers, super -> blocks (all simple here)
-    b_adj = {}
-    for b in big:
-        seen = {}
-        for (eid, idx) in sorted(state.inc[b]):
-            other = state.ends[eid][1 - idx][0]
-            root = find(other)
-            seen[root] = (eid, idx)
-        b_adj[b] = seen
-    for c in sorted(big):
-        if len(state.inc[c]) != 5 or len(b_adj[c]) != 5:
+    for c in sorted(b_adj):
+        if len(b_adj[c]) != 5:  # one slot per super: the degree of c
             continue
         signs = {state.ends[eid][idx][1] for (eid, idx) in state.inc[c]}
         if len(signs) != 1:

@@ -582,6 +582,26 @@ def test_eval_side_not_an_object(tmp_path, capsys):
         assert_not_an_object(capsys, ["eval", path], "side")
 
 
+def test_eval_side_of_unknown_vertex_is_exit_2(tmp_path, capsys):
+    doc = dict(self_loop_doc(), side={"0": "L", "zz": "R"})
+    code, out = run_cli(capsys, ["eval", write_doc(tmp_path, doc)])
+    assert code == 2
+    assert out == {"error": "StructureError",
+                   "message": "side of unknown vertex 'zz'"}
+
+
+def test_gate_of_two_components(tmp_path, capsys):
+    # [1, 2] and [3, 5], one dangling edge each: the gate is their product
+    doc = {"signatures": {"u": ["1", "2"], "w": ["3", "5"]},
+           "vertices": [{"id": 0, "sig": "u", "rotation": ["a"]},
+                        {"id": 1, "sig": "w", "rotation": ["b"]}],
+           "edges": [], "dangling": ["a", "b"]}
+    code, out = run_cli(capsys, ["gate", write_doc(tmp_path, doc)])
+    assert code == 0
+    assert out == {"arity": 2, "entries": ["3", "5", "6", "10"],
+                   "symmetric": None}
+
+
 def test_pm_rotation_not_an_object(tmp_path, capsys):
     doc = {"vertices": [1, 2], "rotation": [["a"], ["b"]],
            "edges": [["a", "b", "3"]]}

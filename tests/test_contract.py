@@ -193,6 +193,25 @@ def test_gate_entries_match_the_former_per_assignment_loop():
     assert gates >= 100
 
 
+def test_gate_of_any_grid_reads_the_one_contraction():
+    # without a spanning tree: disconnected gates, isolated vertices, and
+    # components with no dangling edge, whose sum scales every entry
+    components = 0
+    for seed in range(240):
+        g, _ = random_grid(seed)
+        m = len(g.dangling)
+        if not m:
+            continue
+        sums = enumerated_sums(g)
+        want = [g.scalar * sums.get(bits, ZERO)
+                for bits in itertools.product((0, 1), repeat=m)]
+        assert list(g.gate_signature(cap=10).entries) == want, seed
+        components += len(set(
+            grid_module._embedding(g._rotations(), g.half_owner,
+                                   g.partner)[1].values())) > 1
+    assert components >= 50, components
+
+
 def test_general_signature_is_read_in_rotation_order():
     # f(x1, x2) = 1 only at x1 = 0, x2 = 1; the gate pins x2 through an edge
     f = GeneralSignature(2, [0, 1, 0, 0])

@@ -352,6 +352,20 @@ def test_json_ids_keep_their_type():
         grid_from_json(doc)
 
 
+def test_json_side_of_unknown_vertex_is_refused():
+    doc = {"signatures": {"eq": ["1", "0", "1"]},
+           "vertices": [{"id": 0, "sig": "eq", "rotation": ["a", "b"]}],
+           "edges": [["a", "b"]],
+           "side": {"0": "L", "zz": "R"}}
+    with pytest.raises(StructureError, match="side of unknown vertex 'zz'"):
+        grid_from_json(doc)
+    doc["side"] = {"0": "L", "7": "R"}
+    with pytest.raises(StructureError, match="side of unknown vertex 7$"):
+        grid_from_json(doc)
+    del doc["side"]["7"]
+    assert grid_from_json(doc).side == {0: "L"}
+
+
 def test_json_keeps_string_ids_that_look_like_lists():
     eq = sig([1, 0, 1])
     g = PlanarGrid([Vertex("[0]", eq, ["a", "b"]), Vertex("[1, 2]", eq, ["c", "d"])],

@@ -1381,6 +1381,66 @@ def test_parallel_pin_preserves_value(seed, same_sign, monkeypatch):
     assert run_state(random_pin_state(seed)) == expected
 
 
+def connector_ring_state(seed, n):
+    """A ring of n arity-2 blocks and n arity-2 exact-ones, alternating; each
+    block has opposite signs on its two ends, so the value is nonzero."""
+    rnd = random.Random("ring-%d" % seed)
+    st = solvers._EOState()
+    B = [st.add_vertex("eq", (rnd_w(rnd, 2), rnd_w(rnd, 2)))
+         for _ in range(n)]
+    E = [st.add_vertex("eo") for _ in range(n)]
+    for i in range(n):
+        s = rnd.randint(0, 1)
+        st.add_edge(B[i], s, E[i], rnd_w(rnd, 2))
+        st.add_edge(B[i], 1 - s, E[(i + 1) % n], rnd_w(rnd, 2))
+    return st, B[0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [2, 3])
+def test_arity2_block_connector_preserves_value(seed, n):
+    st, first = connector_ring_state(seed, n)
+    expected = eo_state_value(st)
+    assert not expected.is_zero()
+    eos = sum(kind == "eo" for kind in st.kind.values())
+    assert solvers._simplify_step(st)
+    # the first block joined its two exact-ones into one
+    assert first not in st.kind
+    assert sum(kind == "eo" for kind in st.kind.values()) == eos - 1
+    assert eo_state_value(st) == expected
+    assert run_state(connector_ring_state(seed, n)[0]) == expected
+
+
+def pin_state(seed):
+    """A block of degree 1 built as (c, 0) or (0, c), with either sign on its
+    one end, on an exact-one that a block of arity 2 joins to a second
+    exact-one; that one ends at a block of degree 1 with both weights
+    nonzero, which is no pin and sorts first."""
+    rnd = random.Random("pin-%d" % seed)
+    st = solvers._EOState()
+    leaf = st.add_vertex("eq", (rnd_w(rnd, 2), rnd_w(rnd, 2)))
+    c = rnd_w(rnd, 2)
+    pin = st.add_vertex("eq", (c, ZERO) if seed % 2 else (ZERO, c))
+    B = st.add_vertex("eq", (rnd_w(rnd, 2), rnd_w(rnd, 2)))
+    u, w = st.add_vertex("eo"), st.add_vertex("eo")
+    st.add_edge(pin, seed // 2 % 2, u, rnd_w(rnd, 2))
+    s = rnd.randint(0, 1)
+    st.add_edge(B, s, u, rnd_w(rnd, 2))
+    st.add_edge(B, 1 - s, w, rnd_w(rnd, 2))
+    st.add_edge(leaf, rnd.randint(0, 1), w, rnd_w(rnd, 2))
+    return st, pin
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_degree1_block_with_zero_weight_is_a_pin(seed):
+    st, pin = pin_state(seed)
+    expected = eo_state_value(st)
+    assert solvers._simplify_step(st)
+    assert pin not in st.kind
+    assert (ZERO if st.zero else eo_state_value(st)) == expected
+    assert run_state(pin_state(seed)[0]) == expected
+
+
 def test_pin_search_needs_mixed_instance():
     st = solvers._EOState()
     st.add_vertex("eq", (ONE, ONE))
