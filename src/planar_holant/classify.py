@@ -580,13 +580,16 @@ def dichotomy_binary_eq(f, S):
         raise BadS("the arity set must contain some r >= 3")
     d = gcd(*S)
     f0, f1, f2 = AN(f[0]), AN(f[1]), AN(f[2])
+    # f0^d = +-f2^d != 0 makes r = f0/f2 a root of unity of the field, whose
+    # order divides 8; so (f0/f2)^d is r^(d mod 8), and 0 stands for "not one"
+    r = ZERO if f2.is_zero() else f0 / f2
+    r_d = r ** (d % 8) if r ** 8 == ONE else ZERO
     conditions = [
         ("condition 1", f0 * f2 == f1 * f1),
         ("condition 2", f0.is_zero() and f2.is_zero()),
         ("condition 3", f1.is_zero()),
-        ("condition 4", f0 * f2 == -(f1 * f1)
-         and f0 ** d == -(f2 ** d) and not (f0 ** d).is_zero()),
-        ("condition 5", f0 ** d == f2 ** d and not (f0 ** d).is_zero()),
+        ("condition 4", f0 * f2 == -(f1 * f1) and r_d == -ONE),
+        ("condition 5", r_d == ONE),
     ]
     for name, ok in conditions:
         if ok:
@@ -696,15 +699,11 @@ def _plholant_verdict(F):
         return SetVerdict("plholant", True,
                           case="all non-degenerate arity <= 2 (case 1)")
 
+    # an anchor in P1, M2 \ P2, A3 or M3 pins down the possible transforms
     caveat = False
-    fams = []
     for g in nd3:
         fam = in_transformable_family(g)
         caveat = caveat or fam.caveat
-        fams.append(fam)
-
-    # an anchor in P1, M2 \ P2, A3 or M3 pins down the possible transforms
-    for g, fam in zip(nd3, fams):
         if fam.p1 or (fam.m2 and not in_P2(g)):
             return _apm_verdict(
                 F, [ROUTE_A, ROUTE_P, ROUTE_M],

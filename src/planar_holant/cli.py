@@ -4,11 +4,13 @@ Subcommands: classify, eval, gate, transform, pm, hpm, verify.  Input is JSON
 (a file path or "-" for standard input), output is a JSON report on standard
 output with every scalar serialized through the algebra grammar.  Exit codes:
 0 on success, 1 when a value is out of reach (brute-force cap exceeded, or a
-hard verdict with no fallback), 2 on parse or validation errors.
+hard verdict with no fallback), 2 on parse or validation errors, 141 when
+the reader of standard output closed it before the report was written.
 """
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -39,6 +41,7 @@ from .solvers import (
 EXIT_OK = 0
 EXIT_UNAVAILABLE = 1
 EXIT_INVALID = 2
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports a piped writer
 
 
 # -- plumbing -------------------------------------------------------------------
@@ -53,6 +56,7 @@ def load_doc(path):
 def emit(report):
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True))
     sys.stdout.write("\n")
+    sys.stdout.flush()
 
 
 def parse_matrix(text):
@@ -107,15 +111,14 @@ def cmd_classify(args):
     if args.framework == "binary-eq":
         f = sig_from_doc(doc["f"], "f")
         verdict = dichotomy_binary_eq(f, doc["S"])
-        emit({"f": [str(e) for e in f.entries], "S": sorted(set(doc["S"])),
-              "verdict": verdict_json(verdict)})
-        return EXIT_OK
+        return {"f": [str(e) for e in f.entries], "S": sorted(set(doc["S"])),
+                "verdict": verdict_json(verdict)}, EXIT_OK
     if args.framework == "hpm":
         sizes = doc["sizes"] if "sizes" in doc \
             else [len(h["members"]) for h in doc["hyperedges"]]
-        verdict = hypergraph_verdict(sizes)
-        emit({"sizes": sorted(sizes), "verdict": verdict_json(verdict)})
-        return EXIT_OK
+        verdict = hypergraph_verdict(sizes)  # refuses bad sizes first
+        return {"sizes": sorted(sizes), "verdict": verdict_json(verdict)}, \
+            EXIT_OK
     sigs = _signatures_from_json(doc)
     per_sig = {}
     for name, f in sigs.items():
@@ -132,27 +135,24 @@ def cmd_classify(args):
         verdict = dichotomy_plcsp2(F)
     else:
         verdict = dichotomy_plholant_set(F)
-    emit({"signatures": per_sig, "verdict": verdict_json(verdict)})
-    return EXIT_OK
+    return {"signatures": per_sig, "verdict": verdict_json(verdict)}, EXIT_OK
 
 
 def cmd_eval(args):
     grid = grid_from_json(load_doc(args.input))
     value = evaluate(grid, method=args.method, cap=args.cap)
-    emit({"method": args.method, "value": str(value)})
-    return EXIT_OK
+    return {"method": args.method, "value": str(value)}, EXIT_OK
 
 
 def cmd_gate(args):
     grid = grid_from_json(load_doc(args.input))
     g = grid.gate_signature(cap=args.cap)
     symm = g.symmetrize()
-    emit({
+    return {
         "arity": g.arity,
         "entries": [str(e) for e in g.entries],
         "symmetric": [str(e) for e in symm.entries] if symm else None,
-    })
-    return EXIT_OK
+    }, EXIT_OK
 
 
 def cmd_transform(args):
@@ -161,53 +161,40 @@ def cmd_transform(args):
     T = parse_matrix(args.matrix)
     doc = load_doc(args.input)
     if "signature" in doc:
-        f = sig_from_doc(doc["signature"], "signature")
-        g = transform(T, f)
-        emit({"matrix": transform_json(T),
-              "signature": [str(e) for e in g.entries]})
-        return EXIT_OK
+        g = transform(T, sig_from_doc(doc["signature"], "signature"))
+        return {"matrix": transform_json(T),
+                "signature": [str(e) for e in g.entries]}, EXIT_OK
     grid = grid_from_json(doc)
-    if grid.side:
-        out = holographic_transform_bipartite(grid, T)
-    else:
-        out = orthogonal_transform(grid, T)
-    emit({"matrix": transform_json(T), "grid": grid_to_json(out)})
-    return EXIT_OK
+    out = (holographic_transform_bipartite(grid, T) if grid.side
+           else orthogonal_transform(grid, T))
+    return {"matrix": transform_json(T), "grid": grid_to_json(out)}, EXIT_OK
 
 
 def cmd_pm(args):
     g = weighted_graph_from_json(load_doc(args.input))
-    emit({"value": str(fkt_count_pm(g))})
-    return EXIT_OK
+    return {"value": str(fkt_count_pm(g))}, EXIT_OK
 
 
 def cmd_hpm(args):
     h = hypergraph_from_json(load_doc(args.input))
     verdict, value = hypergraph_pm(h, cap=args.cap)
-    emit({"verdict": verdict_json(verdict),
-          "value": str(value) if value is not None else None})
-    return EXIT_OK if value is not None else EXIT_UNAVAILABLE
+    return {"verdict": verdict_json(verdict),
+            "value": str(value) if value is not None else None}, \
+        EXIT_OK if value is not None else EXIT_UNAVAILABLE
 
 
 def cmd_verify(args):
     results = []
-    failed = 0
     for name, fn in FIXTURES:
+        entry = {"name": name}
         try:
-            ok = bool(fn())
-            detail = None
+            entry["ok"] = bool(fn())
         except Exception as exc:  # a fixture must never crash silently
-            ok = False
-            detail = "%s: %s" % (type(exc).__name__, exc)
-        if not ok:
-            failed += 1
-        entry = {"name": name, "ok": ok}
-        if detail:
-            entry["error"] = detail
+            entry.update(ok=False, error="%s: %s" % (type(exc).__name__, exc))
         results.append(entry)
-    emit({"fixtures": results, "passed": len(results) - failed,
-          "failed": failed})
-    return EXIT_OK if failed == 0 else EXIT_UNAVAILABLE
+    failed = sum(not entry["ok"] for entry in results)
+    return {"fixtures": results, "passed": len(results) - failed,
+            "failed": failed}, EXIT_OK if failed == 0 else EXIT_UNAVAILABLE
 
 
 # -- built-in identity fixtures (used by the verify subcommand) ------------------
@@ -605,13 +592,20 @@ def run(argv=None):
         if "cap" in args:  # a bad --cap or $HOLANT_CAP fails on every route
             args.cap = edge_cap(args.cap)
         # cmd_<subcommand> is looked up per call, so a replaced one runs
-        return globals()["cmd_" + args.subcommand](args)
-    except TooLarge as exc:
-        emit({"error": "TooLarge", "message": str(exc)})
-        return EXIT_UNAVAILABLE
-    except (ValueError, KeyError, TypeError, OSError, ArithmeticError) as exc:
-        emit({"error": type(exc).__name__, "message": str(exc)})
-        return EXIT_INVALID
+        report, code = globals()["cmd_" + args.subcommand](args)
+    except (TooLarge, ValueError, KeyError, TypeError, OSError,
+            ArithmeticError) as exc:
+        report = {"error": type(exc).__name__, "message": str(exc)}
+        code = EXIT_UNAVAILABLE if isinstance(exc, TooLarge) else EXIT_INVALID
+    try:
+        emit(report)
+    except BrokenPipeError:
+        # the reader is gone: what is left, and the flush at exit, go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
+    return code
 
 
 def main(argv=None):

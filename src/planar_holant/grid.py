@@ -77,6 +77,12 @@ class PlanarGrid:
         self.edges = [tuple(e) for e in edges]
         self.dangling = tuple(dangling)
         self.side = dict(side) if side else {}
+        for vid, tag in self.side.items():
+            if vid not in self.vertices:
+                raise StructureError("side of unknown vertex %r" % (vid,))
+            if tag not in ("L", "R"):
+                raise StructureError('side of vertex %r must be "L" or "R", '
+                                     "got %r" % (vid, tag))
         self.scalar = AN(scalar)
         for v in self.vertices.values():
             if len(v.rotation) != v.sig.arity:

@@ -28,7 +28,7 @@ is I, (4) capped brute force.
 ``hypergraph_pm`` follows the route of its ``hypergraph_verdict``.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import combinations, permutations
 from math import gcd, prod
 
@@ -401,8 +401,7 @@ def product_eval(grid):
     n_edges = len(grid.edges)
     edge_of = grid.edge_index()
     uf = _DisjointSet()
-    slot_w = [[ONE, ONE] for _ in range(n_edges)]
-    geneqs = []  # (representative edge, a, b)
+    slot_w = [[ONE, ONE] for _ in range(n_edges)]  # weights per edge value
     scalar = grid.scalar
     for vid in sorted(grid.vertices, key=repr):
         v = grid.vertices[vid]
@@ -410,26 +409,22 @@ def product_eval(grid):
         if form is None:
             return ZERO
         scalar = scalar * form.scalar
-        if form.link is None:
-            for h in v.rotation:
-                e = edge_of[h]
-                slot_w[e][0] = slot_w[e][0] * form.w0
-                slot_w[e][1] = slot_w[e][1] * form.w1
-            continue
-        e0 = edge_of[v.rotation[0]]
-        for h in v.rotation[1:]:
-            if not uf.union(e0, edge_of[h], form.link):
-                return ZERO
-        if form.link == 0:
-            geneqs.append((e0, form.w0, form.w1))
+        weighted = v.rotation  # the edges that carry (w0, w1)
+        if form.link is not None:
+            e0 = edge_of[v.rotation[0]]
+            for h in v.rotation[1:]:
+                if not uf.union(e0, edge_of[h], form.link):
+                    return ZERO
+            # all edges of a generalized equality carry one value, so its
+            # weights sit on its first edge; a disequality's are (1, 1)
+            weighted = v.rotation[:1] if form.link == 0 else ()
+        for h in weighted:
+            w = slot_w[edge_of[h]]
+            w[0], w[1] = w[0] * form.w0, w[1] * form.w1
     comp_edges = {}
     for e in range(n_edges):
         root, off = uf.locate(e)
         comp_edges.setdefault(root, []).append((e, off))
-    comp_eqs = {}
-    for (e0, a, b) in geneqs:
-        root, off = uf.locate(e0)
-        comp_eqs.setdefault(root, []).append((off, a, b))
     total = scalar
     for root, members in sorted(comp_edges.items()):
         val = ZERO
@@ -437,8 +432,6 @@ def product_eval(grid):
             w = ONE
             for (e, off) in members:
                 w = w * slot_w[e][bit ^ off]
-            for (off, a, b) in comp_eqs.get(root, ()):
-                w = w * (a if bit ^ off == 0 else b)
             val = val + w
         if val.is_zero():
             return ZERO
@@ -451,14 +444,17 @@ def product_eval(grid):
 # ---------------------------------------------------------------------------
 
 class _Mod4Form:
-    """A quadratic exponent mod 4 in 0-1 variables with even cross terms."""
+    """A quadratic exponent mod 4 in 0-1 variables with even cross terms.
 
-    __slots__ = ("const", "lin", "cross")
+    A cross coefficient is 0 or 2 mod 4, so ``adj`` keeps, at both ends of
+    each term with coefficient 2, the other variable."""
+
+    __slots__ = ("const", "lin", "adj")
 
     def __init__(self):
         self.const = 0
         self.lin = {}
-        self.cross = {}
+        self.adj = defaultdict(set)
 
     def add_const(self, c):
         self.const = (self.const + c) % 4
@@ -475,12 +471,9 @@ class _Mod4Form:
             self.add_lin(x, c)
             return
         assert c % 2 == 0
-        key = (x, y) if repr(x) < repr(y) else (y, x)
-        c = (self.cross.get(key, 0) + c) % 4
-        if c:
-            self.cross[key] = c
-        else:
-            self.cross.pop(key, None)
+        if c % 4:
+            self.adj[x] ^= {y}
+            self.adj[y] ^= {x}
 
     def add_parity(self, xs, c):
         """Add c * (x_1 xor ... xor x_m) to the exponent."""
@@ -491,15 +484,11 @@ class _Mod4Form:
             self.add_cross(x, y, 2 * c)
 
     def pop_var(self, t):
-        """Remove t; return (linear coefficient, cross partners with coeff 2)."""
-        c = self.lin.pop(t, 0)
-        partners = []
-        for key in [k for k in self.cross if t in k]:
-            other = key[0] if key[1] == t else key[1]
-            coeff = self.cross.pop(key)
-            if coeff % 4 == 2:
-                partners.append(other)
-        return c, partners
+        """Remove t; return (linear coefficient, cross partners)."""
+        partners = self.adj.pop(t, set())
+        for other in partners:
+            self.adj[other].remove(t)
+        return self.lin.pop(t, 0), partners
 
     def substitute(self, t, vs, bit):
         """Replace variable t by the F_2 expression bit xor (xor of vs)."""
@@ -599,7 +588,7 @@ def affine_eval(grid):
         else:
             total = total * SQRT2 * (ZETA ** 7)
             form.add_parity(live, 1)
-    assert not form.lin and not form.cross
+    assert not form.lin and not any(form.adj.values())
     return total * I ** form.const
 
 
@@ -830,12 +819,12 @@ def _collapse_eo(state, v, requests):
     state.drop_vertex(v)
 
 
-def _merge_eq(state, keep, gone, t, extra0=ONE, extra1=ONE):
+def _merge_eq(state, keep, gone, t):
     """Fold block `gone` (value = value(keep) xor t) into `keep`."""
     w0, w1 = state.eqw[gone]
     k0, k1 = state.eqw[keep]
-    state.eqw[keep] = [k0 * (w0 if t == 0 else w1) * extra0,
-                       k1 * (w1 if t == 0 else w0) * extra1]
+    state.eqw[keep] = [k0 * (w0 if t == 0 else w1),
+                       k1 * (w1 if t == 0 else w0)]
     for (eid, idx) in sorted(state.inc[gone]):
         sign = state.ends[eid][idx][1]
         state.ends[eid][idx] = [keep, sign ^ t]
@@ -1008,25 +997,25 @@ def _simplify_step(state):
                   w_keep_side=lam_w * (w1 if d1 == 0 else w0),
                   w_gone_side=lam_u * (w0 if d1 == 0 else w1))
         return True
-    # arity-2 exact-ones between two blocks: merge the blocks through them
+    # an arity-2 exact-one between two blocks is a disequality between them:
+    # its 1 sits on the end at b1 exactly when b1's value is d1, so its end
+    # weights move onto b1, and the block rule above merges b1 and b2 next
     for v in sorted(state.kind):
         if state.kind[v] != "eo" or len(state.inc[v]) != 2:
             continue
         (e1, i1), (e2, i2) = sorted(state.inc[v])
         l1 = state.ends[e1][i1][1]
         l2 = state.ends[e2][i2][1]
-        b1 = state.ends[e1][1 - i1][0]
-        b2 = state.ends[e2][1 - i2][0]
+        b1, d1 = state.ends[e1][1 - i1]
+        b2, d2 = state.ends[e2][1 - i2]
         assert b1 != b2 and state.kind[b1] == state.kind[b2] == "eq"
-        d1 = state.ends[e1][1 - i1][1]
-        d2 = state.ends[e2][1 - i2][1]
-        t = 1 ^ d1 ^ d2
+        w0, w1 = state.eqw[b1]
+        state.eqw[b1] = [w0 * (l1 if d1 == 0 else l2),
+                         w1 * (l2 if d1 == 0 else l1)]
         state.detach_edge(e1)
         state.detach_edge(e2)
         state.drop_vertex(v)
-        _merge_eq(state, b1, b2, t,
-                  extra0=(l1 if d1 == 0 else l2),
-                  extra1=(l2 if d1 == 0 else l1))
+        state.add_edge(b1, d1, b2, d2)
         return True
     return False
 

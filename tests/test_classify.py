@@ -519,3 +519,12 @@ def test_binary_eq_needs_a_binary_f():
     for f in ([1, 2], [1, 2, 4, 8], sig([1, 2, 4, 8]), sig([5])):
         with pytest.raises(ArityError):
             dichotomy_binary_eq(f, [3])
+
+
+def test_binary_eq_reads_a_huge_arity_mod_8():
+    # f0^d and f2^d would each have about 10^21 digits; the ratio decides
+    d = 10 ** 21 + 1
+    v = dichotomy_binary_eq([1, 1, -1], [d])
+    assert v.tractable and v.case == "condition 4"
+    assert dichotomy_binary_eq([ZETA, 1, 1], [d - 1]).case == "condition 5"
+    assert not dichotomy_binary_eq([1, 3, 4], [d]).tractable

@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 
 from planar_holant import cli, solvers
@@ -11,6 +13,8 @@ from planar_holant.sigcalc import sig, equality, transform, Z
 
 from test_grid import k4_grid, naive_holant
 from test_solvers import nonplanar_case7_grid
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(capsys, argv):
@@ -771,3 +775,32 @@ def test_tuple_ids_survive_every_writer(tmp_path, capsys):
         (h.vertices, h.hyperedges, h.rotation)
     code, out = run_cli(capsys, ["hpm", write_doc(tmp_path, doc)])
     assert (code, out["value"]) == (0, "1")
+
+
+def test_side_tag_other_than_L_or_R_is_exit_2(tmp_path, capsys):
+    doc = {"signatures": {"f": [0, 1, 0], "g": [1, 0, 1]},
+           "vertices": [{"id": 0, "sig": "f", "rotation": ["a", "b"]},
+                        {"id": 1, "sig": "g", "rotation": ["c", "d"]}],
+           "edges": [["a", "c"], ["b", "d"]],
+           "side": {"0": "Q", "1": "R"}}
+    path = write_doc(tmp_path, doc)
+    for argv in (["eval", path], ["transform", "--matrix", "1,1;0,1", path]):
+        code, out = run_cli(capsys, argv)
+        assert code == 2 and out["error"] == "StructureError", argv
+        assert "'Q'" in out["message"]
+
+
+def test_closed_stdout_ends_without_a_traceback(tmp_path):
+    # the report runs to megabytes, so the reader leaves mid-write
+    path = write_doc(tmp_path, {"signature": list(range(1, 3001))})
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "planar_holant.cli", "transform", "--matrix",
+         "1,1;0,1", path], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=600) == cli.EXIT_CLOSED_PIPE
+    assert "Traceback" not in err and "Error" not in err, err

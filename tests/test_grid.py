@@ -30,6 +30,7 @@ from planar_holant.grid import (
     orthogonal_transform,
     two_stretch,
 )
+from planar_holant.solvers import PlanarHypergraph
 
 
 def naive_holant(grid):
@@ -388,3 +389,26 @@ def test_json_reads_every_present_scalar():
     for bad in ([], None, ""):
         with pytest.raises((TypeError, ValueError)):
             grid_from_json(dict(doc, scalar=bad))
+
+
+def test_side_tags_are_checked_at_construction():
+    verts = [Vertex(0, equality(2), ["a", "b"]),
+             Vertex(1, equality(2), ["c", "d"])]
+    edges = [("a", "c"), ("b", "d")]
+    with pytest.raises(StructureError, match="side of unknown vertex 'zz'"):
+        PlanarGrid(verts, edges, side={0: "L", "zz": "R"})
+    for tag in ("Q", "l", "", None, 1, ["L"]):
+        with pytest.raises(StructureError, match='"L" or "R"'):
+            PlanarGrid(verts, edges, side={0: "L", 1: tag})
+    assert PlanarGrid(verts, edges, side={1: "R"}).side == {1: "R"}
+
+
+def test_tagged_grids_the_library_builds_read_back():
+    h = PlanarHypergraph(
+        [1, "b", ("c", 3)], [("h", [1, "b", ("c", 3)]), (("h", 2), [1])],
+        {1: ["i1", "j1"], "b": ["ib"], ("c", 3): ["ic"],
+         "h": ["i1", "ib", "ic"], ("h", 2): ["j1"]})
+    for g in (two_stretch(k4_grid()), h.holant_grid()):
+        g2 = grid_from_json(json.loads(json.dumps(grid_to_json(g))))
+        assert g2.side == g.side and set(g2.vertices) == set(g.vertices)
+        assert g2.holant() == g.holant()

@@ -1448,6 +1448,44 @@ def test_pin_search_needs_mixed_instance():
         solvers._pin_step(st)
 
 
+@pytest.mark.parametrize("seed", [1030, 2311, 2886])
+def test_arity2_exact_one_between_blocks_becomes_their_edge(seed):
+    # a stuck state plus an exact-one of arity 2 between two blocks: only
+    # that rule applies, and the block rule then merges the two blocks
+    st = random_pin_state(seed)
+    b1, b2 = sorted(v for v in st.kind if st.kind[v] == "eq")[:2]
+    rnd = random.Random("eo2-%d" % seed)
+    d1, d2 = rnd.randint(0, 1), rnd.randint(0, 1)
+    v = st.add_vertex("eo")
+    st.add_edge(b1, d1, v, rnd_w(rnd, 2))
+    st.add_edge(b2, d2, v, rnd_w(rnd, 2))
+    expected = eo_state_value(st)
+    assert solvers._simplify_step(st)
+    assert v not in st.kind
+    assert [ends for ends in st.ends.values()
+            if st.kind[ends[0][0]] == st.kind[ends[1][0]] == "eq"] == \
+        [[[b1, d1], [b2, d2]]]
+    assert eo_state_value(st) == expected
+    assert solvers._simplify_step(st)
+    assert b1 in st.kind and b2 not in st.kind
+    assert (ZERO if st.zero else eo_state_value(st)) == expected
+
+
+def test_mod4_cross_terms_are_partners_at_both_ends():
+    form = solvers._Mod4Form()
+    form.add_cross(1, 2, 2)
+    form.add_cross(2, 3, 6)
+    form.add_cross(3, 1, 4)  # 0 mod 4: no term
+    assert form.adj == {1: {2}, 2: {1, 3}, 3: {2}}
+    form.add_cross(2, 1, 2)  # 2 + 2 = 0 mod 4
+    assert form.adj == {1: set(), 2: {3}, 3: {2}}
+    with pytest.raises(AssertionError):
+        form.add_cross(1, 3, 1)
+    form.add_cross(3, 3, 1)  # x * x = x: a linear term
+    assert form.pop_var(3) == (1, {2})
+    assert not any(form.adj.values()) and not form.lin
+
+
 # ---------------------------------------------------------------------------
 # hypergraph perfect matchings
 # ---------------------------------------------------------------------------
