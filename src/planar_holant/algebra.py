@@ -9,8 +9,11 @@ equality decidable.
 A scalar is stored as four integer numerators over one common denominator,
 (n0 + n1*z + n2*z^2 + n3*z^3) / d, in canonical form: d > 0 and
 gcd(n0, n1, n2, n3, d) == 1.  Equal values therefore have equal slots and
-equal hashes, and each operation is integer arithmetic followed by at most
-one gcd, with no Fraction in between.
+equal hashes.  Each hot operation (+, -, *, negation) does its integer
+arithmetic in its own body, with no Fraction and no call to a helper but
+``_make``; a product with a rational operand (n1 = n2 = n3 = 0) takes 4
+integer products, not 16; and ``_make`` normalises every result, with at
+most one gcd.
 
 Scalars are written as text such as "1/2 - 3*w^2 + i" (w = zeta_8).  One
 regular expression, ``_TERM``, defines the grammar: ``parse_scalar`` matches
@@ -115,27 +118,47 @@ class AlgebraicNumber:
 
     def __neg__(self):
         n0, n1, n2, n3 = self.num
-        return _raw((-n0, -n1, -n2, -n3), self.den)
+        x = _new(AlgebraicNumber)
+        x.num = (-n0, -n1, -n2, -n3)
+        x.den = self.den
+        return x
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        if type(other) is not AlgebraicNumber:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        (a0, a1, a2, a3), da = self.num, self.den
+        (b0, b1, b2, b3), db = other.num, other.den
+        if da == db:
+            return _make(a0 - b0, a1 - b1, a2 - b2, a3 - b3, da)
+        return _make(a0 * db - b0 * da, a1 * db - b1 * da,
+                     a2 * db - b2 * da, a3 * db - b3 * da, da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         if type(other) is not AlgebraicNumber:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        n0, n1, n2, n3 = _product(*self.num, *other.num)
-        return _make(n0, n1, n2, n3, self.den * other.den)
+        a0, a1, a2, a3 = self.num
+        b0, b1, b2, b3 = other.num
+        d = self.den * other.den
+        # a rational operand scales the other's numerators: 4 products
+        if not (b1 or b2 or b3):
+            return _make(a0 * b0, a1 * b0, a2 * b0, a3 * b0, d)
+        if not (a1 or a2 or a3):
+            return _make(a0 * b0, a0 * b1, a0 * b2, a0 * b3, d)
+        # the negacyclic product, reduced by z^4 = -1 (as in _product)
+        return _make(a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+                     a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+                     a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+                     a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0, d)
 
     __rmul__ = __mul__
 
@@ -263,6 +286,8 @@ SQRT2 = AlgebraicNumber(0, 1, 0, -1)  # sqrt(2) = zeta - zeta^3
 
 def AN(x):
     """Coerce an int/Fraction/str/AlgebraicNumber to an AlgebraicNumber."""
+    if type(x) is AlgebraicNumber:
+        return x
     if isinstance(x, str):
         return parse_scalar(x)
     y = AlgebraicNumber._coerce(x)

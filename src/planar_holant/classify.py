@@ -651,13 +651,14 @@ def dichotomy_single(f):
         obstruction="not in P1, M2, A3, M3, M4, or a vanishing class")
 
 
-def _apm_verdict(F, allowed, obstruction):
-    """Try the listed set-level transformability routes in order."""
+def _apm_verdict(F, allowed, obstruction, culprit):
+    """Try the listed set-level transformability routes in order; the
+    obstruction ``obstruction % culprit`` is written only when all fail."""
     for case, finder in allowed:
         T = finder(F)
         if T is not None:
             return SetVerdict("plholant", True, case=case, witness=T)
-    return SetVerdict("plholant", False, obstruction=obstruction)
+    return SetVerdict("plholant", False, obstruction=obstruction % (culprit,))
 
 
 ROUTE_A = ("A-transformable (case 2)", a_transformable)
@@ -708,15 +709,15 @@ def _plholant_verdict(F):
             return _apm_verdict(
                 F, [ROUTE_A, ROUTE_P, ROUTE_M],
                 "anchor %r in P1/M2 but the set is not A-, P-, or "
-                "M-transformable" % g)
+                "M-transformable", g)
         if fam.a3:
             return _apm_verdict(
                 F, [ROUTE_A, ROUTE_M],
-                "anchor %r in A3 but the set is not A- or M-transformable" % g)
+                "anchor %r in A3 but the set is not A- or M-transformable", g)
         if fam.m3:
             return _apm_verdict(
                 F, [ROUTE_M],
-                "anchor %r in M3 but the set is not M-transformable" % g)
+                "anchor %r in M3 but the set is not M-transformable", g)
 
     # beyond those anchors everything of high arity must be P2, M4 or vanishing
     for g in nd3:
@@ -803,7 +804,7 @@ def _plholant_verdict(F):
             return _apm_verdict(
                 F, [ROUTE_A, ROUTE_P, ROUTE_M],
                 "binary %r leaves the Z image of the product type and the "
-                "set is not A-, P-, or M-transformable" % offenders[0])
+                "set is not A-, P-, or M-transformable", offenders[0])
         return SetVerdict("plholant", True,
                           case="P-transformable (case 3)", witness=Z)
 
@@ -831,7 +832,7 @@ def _plholant_verdict(F):
     if offenders:
         return _apm_verdict(
             F, [ROUTE_A, ROUTE_P, ROUTE_M],
-            "binary %r leaves the Z image of the product type" % offenders[0])
+            "binary %r leaves the Z image of the product type", offenders[0])
     # every member is now in the Z image of P or in M4^sigma: degenerate
     # signatures are product type, the binaries passed in_ZP, and every nd3
     # is in P2 or on the one matching side sigma

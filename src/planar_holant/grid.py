@@ -490,13 +490,21 @@ def _json_keyed(obj, ids, field, unknown):
 def grid_from_json(doc):
     sigs = _signatures_from_json(doc)
     vertices = []
-    for vd in doc["vertices"]:
+    for vd in _json_list(doc["vertices"], "vertices"):
+        vd = _json_object(vd, "vertices")
+        if ({"id", "rotation"} - vd.keys()
+                or not isinstance(vd.get("sig"), str)):
+            raise ValueError("each 'vertices' object needs an id, a rotation "
+                             "and a sig that is a string")
         if vd["sig"] not in sigs:
             raise StructureError("unknown signature %r" % vd["sig"])
         vertices.append(Vertex(_json_id(vd["id"]), sigs[vd["sig"]],
                                _json_ids(vd["rotation"], "rotation")))
+    edges = [_json_ids(e, "edges") for e in _json_list(doc["edges"], "edges")]
+    if any(len(e) != 2 for e in edges):
+        raise ValueError("each 'edges' entry must be a list of two ids")
     return PlanarGrid(
-        vertices, [_json_ids(e, "edges") for e in doc["edges"]],
+        vertices, edges,
         _json_ids(doc.get("dangling", []), "dangling"),
         _json_keyed(doc.get("side") or {}, (v.id for v in vertices), "side",
                     "side of unknown vertex %r"),

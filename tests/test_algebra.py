@@ -542,3 +542,129 @@ def test_integers_of_any_length_round_trip():
         assert parse_scalar(format_scalar(x)) == x
     assert format_scalar(AN(10 ** 4400)) == "1" + "0" * 4400
     assert parse_scalar("1" * 4400) == AN((10 ** 4400 - 1) // 9)
+
+
+# -- mixed operands and the kernel's fast paths -----------------------------
+#
+# An int or Fraction on either side of + - * /, and rational elements on
+# either side of a product, which take the 4-product path in __mul__.
+
+def _ref_div(a, b):
+    return ref_mul(a, ref_inv(b))
+
+
+def mixed_results_and_references(a, r):
+    """(result, reference coefficients) for x = AlgebraicNumber(*a) against
+    the int or Fraction r, written both as r itself and as an element."""
+    x, y = AlgebraicNumber(*a), AN(r)
+    a = tuple(Fraction(v) for v in a)
+    b = (Fraction(r), Fraction(0), Fraction(0), Fraction(0))
+    out = []
+    for s in (r, y):
+        out += [(x + s, tuple(u + v for u, v in zip(a, b))),
+                (s + x, tuple(u + v for u, v in zip(a, b))),
+                (x - s, tuple(u - v for u, v in zip(a, b))),
+                (s - x, tuple(v - u for u, v in zip(a, b))),
+                (x * s, ref_mul(a, b)),
+                (s * x, ref_mul(b, a)),
+                (y * s, ref_mul(b, b))]
+        if r:
+            out.append((x / s, _ref_div(a, b)))
+        if any(a):
+            out.append((s / x, _ref_div(b, a)))
+    return out
+
+
+def assert_mixed_matches_reference(a, r):
+    for x, ref in mixed_results_and_references(a, r):
+        assert type(x) is AlgebraicNumber
+        assert_canonical(x)
+        assert x.c == ref
+
+
+MIXED_RATIONALS = [0, 1, -1, 2, 3, -4, Fraction(1, 3), Fraction(-2, 5),
+                   Fraction(7, 6), 2 ** 70 + 3, Fraction(-(2 ** 65), 3 ** 40)]
+
+
+def test_mixed_operands_match_reference_seeded():
+    for a, b, _, _ in seeded_operands()[::4]:
+        for r in MIXED_RATIONALS:
+            assert_mixed_matches_reference(a, r)
+        assert_mixed_matches_reference(b, b[0])
+
+
+@given(coefficient_tuples, wide_rationals)
+def test_mixed_operands_match_reference(a, r):
+    assert_mixed_matches_reference(a, r)
+
+
+def test_mixed_operand_examples():
+    x = AlgebraicNumber(Fraction(1, 2), 3, 0, Fraction(-1, 4))
+    assert 3 * x == x * 3 == AlgebraicNumber(Fraction(3, 2), 9, 0,
+                                             Fraction(-3, 4))
+    assert x - Fraction(1, 3) == AlgebraicNumber(Fraction(1, 6), 3, 0,
+                                                 Fraction(-1, 4))
+    assert Fraction(2, 5) - x == AlgebraicNumber(Fraction(-1, 10), -3, 0,
+                                                 Fraction(1, 4))
+    assert 2 / ZETA == 2 * ZETA ** 7 == AlgebraicNumber(0, 0, 0, -2)
+    assert (2 / TWO).num == (1, 0, 0, 0) and (2 / TWO).den == 1
+
+
+def test_rational_operand_on_each_side_of_a_product():
+    x = AlgebraicNumber(Fraction(2, 3), -1, Fraction(5, 7), 4)
+    half, third = AN(Fraction(1, 2)), AN(Fraction(-1, 3))
+    a = tuple(x.c)
+    for left, right in ((x, half), (half, x), (half, third), (third, third),
+                        (ZERO, x), (x, ZERO), (ZERO, ZERO), (ONE, x),
+                        (x, -ONE), (TWO, SQRT2)):
+        product = left * right
+        assert_canonical(product)
+        assert product.c == ref_mul(tuple(left.c), tuple(right.c))
+    assert (half * third).num == (-1, 0, 0, 0) and (half * third).den == 6
+    assert (x * half).c == tuple(v / 2 for v in a)
+
+
+def test_sums_over_equal_and_unequal_denominators():
+    x = AlgebraicNumber(Fraction(1, 6), Fraction(1, 3), 0, Fraction(-1, 2))
+    same = AlgebraicNumber(Fraction(1, 6), Fraction(-1, 3), 1, Fraction(1, 2))
+    other = AlgebraicNumber(Fraction(1, 10), 0, Fraction(3, 4), 1)
+    assert x.den == same.den == 6 and other.den != 6
+    for y in (same, other):
+        for s, ref in ((x + y, tuple(u + v for u, v in zip(x.c, y.c))),
+                       (x - y, tuple(u - v for u, v in zip(x.c, y.c))),
+                       (y - x, tuple(v - u for u, v in zip(x.c, y.c)))):
+            assert_canonical(s)
+            assert s.c == ref
+    # over one denominator the sum can lower it: 1/6 + 1/6 = 1/3
+    assert (x + same).num == (1, 0, 3, 0) and (x + same).den == 3
+
+
+def test_sums_and_differences_that_cancel_to_zero():
+    for x in (ZETA, AlgebraicNumber(Fraction(1, 3), 0, Fraction(-5, 7)),
+              AN(Fraction(-2, 9)), AN(2 ** 80), ZERO):
+        for z in (x - x, x + (-x), (-x) + x, x - AN(x.c[0]) - (x - x.c[0]),
+                  -x - (-x)):
+            assert (z.num, z.den) == ((0, 0, 0, 0), 1)
+            assert z == ZERO and z == 0 and hash(z) == hash(ZERO)
+    assert (AN(Fraction(1, 3)) - Fraction(1, 3)).den == 1
+    assert (Fraction(1, 3) - AN(Fraction(1, 3))).den == 1
+    assert (Fraction(-5, 7) + AN(Fraction(5, 7))).num == (0, 0, 0, 0)
+
+
+def test_zero_operands():
+    x = AlgebraicNumber(Fraction(3, 8), -2, 0, 1)
+    for z in (0, Fraction(0), ZERO, AN(0)):
+        for p in (x * z, z * x, ZERO * z, z * ZERO):
+            assert (p.num, p.den) == ((0, 0, 0, 0), 1)
+        assert x + z == x and z + x == x and x - z == x and z - x == -x
+        assert (z / x).is_zero()
+        with pytest.raises(DivisionByZero):
+            x / z
+    assert (-ZERO).num == (0, 0, 0, 0) and (-ZERO).den == 1
+
+
+def test_an_of_an_element_is_that_element():
+    for x in (ZERO, ONE, ZETA, AlgebraicNumber(Fraction(1, 3), 0, 2, -1)):
+        assert AN(x) is x
+    assert AN(3) == AlgebraicNumber(3) and AN(Fraction(1, 2)) == ONE / 2
+    assert AN("w^2") == I

@@ -485,6 +485,29 @@ def test_constant_signature_leaves_the_set_verdict_unchanged():
             (plain.tractable, plain.case, plain.obstruction)
 
 
+def test_route_obstructions_are_written_only_for_a_hard_set(monkeypatch):
+    hard = {
+        "anchor Sig[1, 0, 0, 1] in P1/M2 but the set is not A-, P-, or "
+        "M-transformable": [sig([1, 0, 0, 1]), sig([1, 2, 3])],
+        "anchor Sig[0, 0, 1, 0] in M3 but the set is not M-transformable":
+            [sig([0, 0, 1, 0]), sig([1, 2, 3])],
+        "binary Sig[1, 2, 3] leaves the Z image of the product type and the "
+        "set is not A-, P-, or M-transformable":
+            [sig([0, 1, 0, -1]), sig([1, 2, 3])],
+    }
+    for obstruction, F in hard.items():
+        v = dichotomy_plholant_set(F)
+        assert (v.tractable, v.obstruction) == (False, obstruction)
+    # a tractable set reached through the same routes writes no signature
+    calls = []
+    monkeypatch.setattr(SymmetricSignature, "__repr__",
+                        lambda f: calls.append(f) or "Sig")
+    for F in ([sig([1, 0, 0, 1])], [sig([0, 0, 1, 0])],
+              [sig([0, 1, 0, -1]), sig([1, 0, 1])]):
+        assert dichotomy_plholant_set(F).tractable, F
+    assert calls == []
+
+
 # -- rational matchgates ----------------------------------------------------------
 
 def rational_matchgate(rnd, n):

@@ -703,6 +703,26 @@ def test_eval_reads_every_present_scalar(tmp_path, capsys):
     assert (code, out["error"]) == (2, "TypeError")
 
 
+def test_malformed_vertex_and_edge_entries_name_their_field(tmp_path,
+                                                           capsys):
+    cases = []
+    for vertex in ("v0", ["eq", 0], {"id": 0, "rotation": ["a", "b"]},
+                   {"sig": "eq", "rotation": ["a", "b"]},
+                   {"id": 0, "sig": "eq"},
+                   {"id": 0, "sig": ["eq"], "rotation": ["a", "b"]},
+                   {"id": 0, "sig": 1, "rotation": ["a", "b"]}):
+        cases.append(("vertices", dict(self_loop_doc(), vertices=[vertex])))
+    cases.append(("vertices", dict(self_loop_doc(), vertices="v0")))
+    for edges in ([["a", "b", "c"]], [["a"]], [[]], ["ab"], "ab"):
+        cases.append(("edges", dict(self_loop_doc(), edges=edges)))
+    for field, doc in cases:
+        path = write_doc(tmp_path, doc)
+        for command in ("eval", "gate"):
+            code, out = run_cli(capsys, [command, path])
+            assert (code, out["error"]) == (2, "ValueError"), (doc, out)
+            assert repr(field) in out["message"], (doc, out)
+
+
 # -- JSON ids ------------------------------------------------------------------
 
 

@@ -66,3 +66,8 @@ def test_oracle_known_values():
                                  (9, 12)])
 def test_fkt_matches_oracle(m, n):
     assert fkt_count_pm(rectangle_graph(m, n)) == AN(domino_count(m, n))
+
+
+def test_fkt_matches_oracle_at_40x40():
+    # a count of 198 digits, through the field's large-coefficient products
+    assert fkt_count_pm(rectangle_graph(40, 40)) == AN(domino_count(40, 40))
