@@ -75,6 +75,9 @@ class PlanarGrid:
         if len(self.vertices) != len(vertices):
             raise StructureError("duplicate vertex ids")
         self.edges = [tuple(e) for e in edges]
+        for e in self.edges:
+            if len(e) != 2:
+                raise ValueError("edge %r in 'edges' needs two ends" % (e,))
         self.dangling = tuple(dangling)
         self.side = dict(side) if side else {}
         for vid, tag in self.side.items():
@@ -500,11 +503,9 @@ def grid_from_json(doc):
             raise StructureError("unknown signature %r" % vd["sig"])
         vertices.append(Vertex(_json_id(vd["id"]), sigs[vd["sig"]],
                                _json_ids(vd["rotation"], "rotation")))
-    edges = [_json_ids(e, "edges") for e in _json_list(doc["edges"], "edges")]
-    if any(len(e) != 2 for e in edges):
-        raise ValueError("each 'edges' entry must be a list of two ids")
     return PlanarGrid(
-        vertices, edges,
+        vertices, [_json_ids(e, "edges")
+                   for e in _json_list(doc["edges"], "edges")],
         _json_ids(doc.get("dangling", []), "dangling"),
         _json_keyed(doc.get("side") or {}, (v.id for v in vertices), "side",
                     "side of unknown vertex %r"),

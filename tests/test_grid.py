@@ -412,3 +412,11 @@ def test_tagged_grids_the_library_builds_read_back():
         g2 = grid_from_json(json.loads(json.dumps(grid_to_json(g))))
         assert g2.side == g.side and set(g2.vertices) == set(g.vertices)
         assert g2.holant() == g.holant()
+
+
+def test_edge_ends_are_checked_at_construction():
+    verts = [Vertex(0, equality(2), ["a", "b"])]
+    for bad in (("a", "b", "c"), ("a",), ()):
+        with pytest.raises(ValueError, match="edge .* in 'edges' needs two"):
+            PlanarGrid(verts, [bad])
+    assert PlanarGrid(verts, [["a", "b"]]).edges == [("a", "b")]
