@@ -23,6 +23,7 @@ it term by term, and ``format_scalar`` writes text it reads back.
 import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import sub
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -67,6 +68,43 @@ def _product(a0, a1, a2, a3, b0, b1, b2, b3):
             a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
             a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
             a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
+
+
+def _turn(n0, n1, n2, n3, t):
+    """Numerators of (n0 + n1 z + n2 z^2 + n3 z^3) z^t: a signed rotation."""
+    c, t = (n0, n1, n2, n3, -n0, -n1, -n2, -n3), t % 8
+    return c[-t], c[1 - t], c[2 - t], c[3 - t]
+
+
+def _cofactor(n0, n1, n2, n3):
+    """(p, norm) with x p = norm, an int, for x = n0 + n1 z + n2 z^2 + n3 z^3
+    != 0: p = 1 for an int x, else sigma_3(x) sigma_5(x) sigma_7(x)."""
+    if not (n1 or n2 or n3):
+        return (1, 0, 0, 0), n0
+    p = _product(*_product(n0, n3, -n2, n1, n0, -n1, n2, -n3),
+                 n0, -n3, -n2, -n1)
+    norm = _product(n0, n1, n2, n3, *p)
+    assert norm[1] == norm[2] == norm[3] == 0
+    return p, norm[0]
+
+
+def _numerators(xs):
+    """(h, d): the numerator tuples h of the AlgebraicNumbers xs over the lcm
+    d of their dens."""
+    d = lcm(*(x.den for x in xs))
+    return [x.num if x.den == d else tuple(c * (d // x.den) for c in x.num)
+            for x in xs], d
+
+
+def _cross(a, b):
+    """The cross product of two triples of numerator tuples."""
+    return [tuple(map(sub, _product(*a[i], *b[j]), _product(*a[j], *b[i])))
+            for i, j in ((1, 2), (2, 0), (0, 1))]
+
+
+def _dot(a, b):
+    """The dot product of two triples of numerator tuples."""
+    return tuple(map(sum, zip(*(_product(*x, *y) for x, y in zip(a, b)))))
 
 
 class AlgebraicNumber:
@@ -182,15 +220,9 @@ class AlgebraicNumber:
     def inv(self):
         if self.is_zero():
             raise DivisionByZero("division by zero in Q(zeta_8)")
-        # p = sigma_3(x) sigma_5(x) sigma_7(x) on the numerators (over den^3);
-        # x * p is the rational field norm (over den^4)
-        n0, n1, n2, n3 = self.num
-        p = _product(*_product(n0, n3, -n2, n1, n0, -n1, n2, -n3),
-                     n0, -n3, -n2, -n1)
-        norm = _product(n0, n1, n2, n3, *p)
-        assert norm[1] == norm[2] == norm[3] == 0
+        p, norm = _cofactor(*self.num)
         d = self.den
-        return _make(p[0] * d, p[1] * d, p[2] * d, p[3] * d, norm[0])
+        return _make(p[0] * d, p[1] * d, p[2] * d, p[3] * d, norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -376,6 +408,16 @@ def sqrt_in_field(x):
         if y * y == x:
             return y
     return None
+
+
+def rational_quotients(x, m, s):
+    """x / (sqrt2^m zeta^(j s)) for j = 0..7, each a Fraction where it is
+    rational, else None: one sqrt2 step, then signed rotations."""
+    num, d = x.num, x.den << (m // 2)
+    if m % 2:
+        num, d = _product(*num, *SQRT2.num), 2 * d
+    return [None if any(y[1:]) else Fraction(y[0], d)
+            for y in (_turn(*num, -j * s) for j in range(8))]
 
 
 # -- parsing and formatting ---------------------------------------------

@@ -27,7 +27,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, inf
 
-from .algebra import AN, I, ONE, SQRT2, ZERO, ZETA, sqrt_in_field
+from .algebra import (AN, I, ONE, SQRT2, ZERO, ZETA, rational_quotients,
+                      sqrt_in_field)
 from .sigcalc import (
     ArityError,
     SymmetricSignature,
@@ -390,22 +391,17 @@ def _rational_nth_root(r, n):
 
 
 def nth_roots_in_field(w, n):
-    """The field elements q * sqrt2^e * zeta^j (q rational) whose n-th power
-    is w.  Best effort: roots of other shapes are missed, such as
+    """The q * sqrt2^e * zeta^j (q rational; e = 0, 1, j = 0..7 in turn)
+    whose n-th power is w, read from the rational w / (sqrt2^(en)
+    zeta^(jn)).  Best effort: roots of other shapes are missed, such as
     (119 + 120 i)/169 for n = 3, and a set whose witness needs one is PHard."""
     roots = []
-    if w.is_zero():
-        return roots
     for e in (0, 1):
-        for j in range(8):
-            base = (SQRT2 ** e) * (ZETA ** j)
-            residual = w * (base ** n).inv()
-            if not residual.is_rational():
-                continue
-            q = _rational_nth_root(residual.rational(), n)
-            if q is not None and q != 0:
-                cand = AN(q) * base
-                if cand ** n == w and cand not in roots:
+        for j, r in enumerate(rational_quotients(w, e * n, n)):
+            q = r is not None and _rational_nth_root(r, n)
+            if q:  # False or None: no rational root; 0: w = 0
+                cand = AN(q) * SQRT2 ** e * ZETA ** j
+                if cand not in roots:
                     roots.append(cand)
     return roots
 

@@ -13,6 +13,7 @@ import json
 import os
 import random
 import sys
+from contextlib import nullcontext
 
 from .algebra import AN, ZERO, ONE, I, ZETA
 from .sigcalc import (
@@ -21,7 +22,7 @@ from .sigcalc import (
     vanishing_degrees, tensor_decompose, Z,
 )
 from .grid import (
-    PlanarGrid, Vertex, TooLarge, _json_list, _json_scalar,
+    PlanarGrid, Vertex, TooLarge, _json_list, _json_object, _json_scalar,
     _signatures_from_json, edge_cap, grid_from_json, grid_to_json,
     holographic_transform_bipartite, orthogonal_transform,
 )
@@ -46,11 +47,16 @@ EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports a piped writer
 
 # -- plumbing -------------------------------------------------------------------
 
+class JSONObject(dict):
+    """A JSON object of the input: a missing key is a ValueError naming it."""
+
+    def __missing__(self, key):
+        raise ValueError("missing key %r" % (key,))
+
+
 def load_doc(path):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    with open(path) if path != "-" else nullcontext(sys.stdin) as fh:
+        return _json_object(json.load(fh, object_hook=JSONObject), "document")
 
 
 def emit(report):

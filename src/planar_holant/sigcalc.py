@@ -6,19 +6,20 @@ first use by ``zhat()``, whose ``support()`` (nonzero indices) decides the
 Z-side classes, and in the same way its order-2 tensor decomposition, made
 on first use by ``decomposition()``, from which the transformable families
 are read.  This module provides the derivative/integral calculus,
-holographic transforms T^{tensor n} in O(n^2) by Taylor shifts, second-order
-recurrences from the closed-form kernel of the rows (f_k, f_{k+1}, f_{k+2}),
-exact two-term tensor decompositions read from the first recurrence triple,
-vanishing degrees and arity-4 signature matrices.
+holographic transforms T^{tensor n} in O(n^2) by Taylor shifts, recurrences
+from the closed-form kernel of the rows (f_k, f_{k+1}, f_{k+2}), two-term
+tensor decompositions read in closed form from its first triple, vanishing
+degrees and arity-4 signature matrices.  Transforms, kernels and degeneracy
+tests run on integer numerators over one denominator.
 """
 
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import comb
-from operator import mul
+from operator import add, mul, sub
 
-from .algebra import AN, AlgebraicNumber, ONE, ZERO, I, sqrt_in_field
+from .algebra import (AN, AlgebraicNumber, ONE, ZERO, I, _cofactor, _cross,
+                      _dot, _make, _numerators, _product, sqrt_in_field)
 
 
 class ArityError(ValueError):
@@ -178,7 +179,8 @@ class Transform2x2:
         d = self.det()
         if d.is_zero():
             raise ZeroDivisionError("singular transform")
-        return Transform2x2(self.t11 / d, -self.t01 / d, -self.t10 / d, self.t00 / d)
+        s = d.inv()
+        return Transform2x2(self.t11 * s, -self.t01 * s, -self.t10 * s, self.t00 * s)
 
     def transpose(self):
         return Transform2x2(self.t00, self.t10, self.t01, self.t11)
@@ -222,30 +224,27 @@ H2 = Transform2x2(1, 1, 1, -1)
 Z_INV = Z.inverse()
 
 
-def _inverses(xs):
-    """1/x for each x in xs, all nonzero, from one field inversion."""
-    if not xs:
-        return []
-    w = reduce(mul, xs).inv()
-    return [reduce(mul, xs[:k] + xs[k + 1:], w) for k in range(len(xs))]
-
-
-def _scale(h, r):
-    """h_k *= r^k in place."""
-    if r != ONE:
-        p = ONE
-        for k in range(1, len(h)):
-            p = p * r
-            h[k] = h[k] * p
+def _scale(h, q, p):
+    """h_k <- h_k q^(n-k) p^k in place for numerator tuples q, p: h_k *=
+    (p/q)^k, times q^n."""
+    n = len(h) - 1
+    for x, ks in ((p, range(1, n + 1)), (q, range(n - 1, -1, -1))):
+        if x != ONE.num:
+            y = x
+            for k in ks:
+                h[k] = _product(*h[k], *y)
+                y = _product(*y, *x)
 
 
 def _shift(h):
     """h <- U^{tensor n} h in place for the shear U = [[1, 1], [0, 1]]:
-    h_j <- sum_i C(n-j, i) h_{j+i}, by n(n+1)/2 additions.  This is the
-    Taylor shift by 1 of the binary form of h (see ``transform``)."""
-    for top in range(len(h) - 1, 0, -1):
-        for k in range(top):
-            h[k] = h[k] + h[k + 1]
+    h_j <- sum_i C(n-j, i) h_{j+i}, by n(n+1)/2 additions on each nonzero
+    numerator column: the Taylor shift by 1 of h's binary form."""
+    cols = [list(col) for col in zip(*h)]
+    for col in filter(any, cols):
+        for top in range(len(col) - 1, 0, -1):
+            col[:top] = map(add, col[:top], col[1:top + 1])
+    h[:] = zip(*cols)
 
 
 def transform(T, f):
@@ -259,44 +258,46 @@ def transform(T, f):
     is the scaling by c^k, the shift by 1 and the scaling back (von zur
     Gathen and Gerhard, "Fast algorithms for Taylor shifts and certain
     difference equations", ISSAC 1997); on the entries of f the shift by 1
-    is ``_shift``, additions with no binomials.  In all: O(n^2) additions,
-    O(n) products and at most one inversion, against O(n^3) products for
-    the binomial sum of each entry.  A zero t00 is moved away by swapping
-    the input variables (f reversed) or, when T's first row is zero, the
-    output variables (the result reversed).
+    is ``_shift``, additions with no binomials.  A zero t00 is moved away by
+    swapping the input variables (f reversed) or, when T's first row is
+    zero, the output variables (the result reversed).
+
+    It runs on integer numerators, f's and T's each over one denominator.
+    A scaling by p/q is q^n too large (``_scale``); the q's multiply to w,
+    whose one inversion joins the last scaling.  In all: O(n^2) integer
+    additions, O(n) products, one ``_make`` per entry.
     """
     n = f.arity
-    t00, t01, t10, t11 = T.t00, T.t01, T.t10, T.t11
-    h = list(f.entries)
-    swap_out = t00.is_zero() and t01.is_zero()
+    h, den = _numerators(f.entries)
+    (a, b, c, d), e = _numerators((T.t00, T.t01, T.t10, T.t11))
+    swap_out = not (any(a) or any(b))
     if swap_out:
-        t00, t01, t10, t11 = t10, t11, t00, t01
-    if t00.is_zero():
-        t00, t01, t10, t11 = t01, t00, t11, t10
+        a, b, c, d = c, d, a, b
+    if not any(a):
+        a, b, c, d = b, a, d, c
         h.reverse()
-    if t00.is_zero():
+    if not any(a):
         # T = 0, and 0^{tensor 0} = 1
-        return SymmetricSignature(h if n == 0 else [ZERO] * (n + 1))
-    shift_y, shift_x = not t01.is_zero(), not t10.is_zero()
-    inv = _inverses([t00, t01] * shift_y + [t10] * shift_x)
+        return SymmetricSignature(f.entries if n == 0 else [ZERO] * (n + 1))
+    one, shift_y, shift_x = ONE.num, any(b), any(c)
+    w, norm = _cofactor(*_product(*(_product(*a, *b) if shift_y else one),
+                                  *(c if shift_x else one)))
     # P_f(X, Y) with Y = (t01/t00) X + (det/t00) y
     if shift_y:
-        _scale(h, t01 * inv[0])
+        _scale(h, a, b)
         _shift(h)
-        _scale(h, (t00 * t11 - t01 * t10) * inv[1])
+        _scale(h, b, tuple(map(sub, _product(*a, *d), _product(*b, *c))))
     else:
-        _scale(h, t11)
+        _scale(h, one, d)
     # then X = t00 (x + (t10/t00) y), with the roles of x and y swapped
     h.reverse()
     if shift_x:
-        _scale(h, t10)
+        _scale(h, one, c)
         _shift(h)
-        _scale(h, t00 * inv[-1])
-    else:
-        _scale(h, t00)
-    if not swap_out:
-        h.reverse()
-    return SymmetricSignature(h)
+    _scale(h, _product(*(c if shift_x else one), *w), _product(*a, *w))
+    den *= (e * norm) ** n
+    return SymmetricSignature([_make(*x, den)
+                               for x in (h if swap_out else reversed(h))])
 
 
 def row_transform(f, T):
@@ -347,32 +348,31 @@ def integral(fp):
 
 # -- recurrence analysis ---------------------------------------------------
 
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
-def _null_space(rows):
-    """Exact null-space basis of an m x 3 matrix given as its rows, in closed
+def _null_space(f):
+    """Exact null-space basis of the rows (f_k, f_{k+1}, f_{k+2}), in closed
     form: the unit vectors at rank 0; at rank 1, for the first nonzero row w
     and its first nonzero entry w_c, e_j - (w_j / w_c) e_c for each j != c; at
     rank 2 the cross product of the first two independent rows, scaled so its
     last nonzero entry is 1; [] at rank 3.  This is the basis Gauss-Jordan
-    elimination reads off its free columns, in the same order."""
+    elimination reads off its free columns, in the same order.  The rows are
+    read from f's integer numerators over one denominator."""
     unit = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
-    w = next((r for r in rows if any(not x.is_zero() for x in r)), None)
+    h, _ = _numerators(f.entries)
+    rows = [h[k:k + 3] for k in range(len(h) - 2)]
+    w = next((r for r in rows if any(map(any, r))), None)
     if w is None:
         return unit
-    k = next((k for k in (_cross(w, r) for r in rows)
-              if any(not x.is_zero() for x in k)), None)
+    k = next((k for k in (_cross(w, r) for r in rows[rows.index(w) + 1:])
+              if any(map(any, k))), None)
     if k is None:
-        c = next(j for j in range(3) if not w[j].is_zero())
-        s = -w[c].inv()
-        return [e[:c] + [w[j] * s] + e[c + 1:] for j, e in enumerate(unit) if j != c]
-    if any(not (r[0] * k[0] + r[1] * k[1] + r[2] * k[2]).is_zero() for r in rows):
+        c = next(j for j in range(3) if any(w[j]))
+        s = -_make(*w[c], 1).inv()
+        return [e[:c] + [_make(*w[j], 1) * s] + e[c + 1:]
+                for j, e in enumerate(unit) if j != c]
+    if any(any(_dot(r, k)) for r in rows):
         return []
-    s = next(x for x in reversed(k) if not x.is_zero()).inv()
-    return [[x * s for x in k]]
+    s = _make(*next(x for x in reversed(k) if any(x)), 1).inv()
+    return [[_make(*x, 1) * s for x in k]]
 
 
 class RecurrenceType:
@@ -402,8 +402,7 @@ def recurrence_analysis(f):
     n = f.arity
     if n < 2:
         raise ArityError("recurrence analysis needs arity >= 2")
-    rows = [(f[k], f[k + 1], f[k + 2]) for k in range(n - 1)]
-    basis = _null_space(rows)
+    basis = _null_space(f)
     # spec sign convention: flip the middle coefficient
     basis = [(v[0], -v[1], v[2]) for v in basis]
     return RecurrenceType(3 - len(basis), basis)
@@ -553,18 +552,6 @@ class TensorDecomposition:
         raise ValueError("no expansion for kind %r" % self.kind)
 
 
-def _solve_pair(f, p, q):
-    """(x, y) with f = x p + y q, solved on the first two independent entries
-    and kept only when the equation holds on every entry; else None."""
-    for k1, k2 in combinations(range(len(f)), 2):
-        d = p[k1] * q[k2] - p[k2] * q[k1]
-        if not d.is_zero():
-            x = (f[k1] * q[k2] - f[k2] * q[k1]) / d
-            y = (p[k1] * f[k2] - p[k2] * f[k1]) / d
-            return (x, y) if p.scale(x) + q.scale(y) == f else None
-    return None
-
-
 def _roots_of_triple(p, q, r):
     """Projective roots of the nonzero form p X^2 + q XY + r Y^2 as directions
     [X:Y]: ("distinct", u, v), ("double", u) or ("irrational",)."""
@@ -585,19 +572,17 @@ def _roots_of_triple(p, q, r):
 def _degenerate_form(f):
     """(c, u) with f = c * u^{tensor n} and u = (1, lam) or (0, 1) when f is
     nonzero and degenerate, else None.  A nonzero constant (arity 0) is
-    c * [1, 0]^{tensor 0}."""
+    c * [1, 0]^{tensor 0}.  For f_0 != 0 that is f_{k+1} f_0 = f_k f_1 for
+    every k, tested on f's integer numerators."""
     n = f.arity
-    if f[0].is_zero():
-        if all(f[k].is_zero() for k in range(n)) and not f[n].is_zero():
-            return f[n], (ZERO, ONE)
+    h, _ = _numerators(f.entries)
+    if not any(h[0]):
+        tail = any(h[n]) and not any(map(any, h[:n]))
+        return (f[n], (ZERO, ONE)) if tail else None
+    if any(_product(*h[k + 1], *h[0]) != _product(*h[k], *h[1])
+           for k in range(1, n)):
         return None
-    lam = f[1] / f[0] if n else ZERO
-    term = f[0]
-    for k in range(1, n + 1):
-        term = term * lam
-        if f[k] != term:
-            return None
-    return f[0], (ONE, lam)
+    return f[0], (ONE, f[1] / f[0] if n else ZERO)
 
 
 def tensor_decompose(f):
@@ -606,9 +591,15 @@ def tensor_decompose(f):
     Past the zero and degenerate kinds, the roots [X:Y] of p X^2 + q XY +
     r Y^2 for the first triple with p f_k + q f_{k+1} + r f_{k+2} = 0 give
     f = x u^{tensor n} + y v^{tensor n} or, for a double root u, f =
-    Sym_n^{n-1}(u; v), solved and checked exactly.  One triple suffices: a
-    non-degenerate f of arity >= 3 has at most one up to scale (triple rows
-    of rank <= 1 make f degenerate), and at arity 2 the first one decomposes.
+    Sym_n^{n-1}(u; v).  One triple suffices: a non-degenerate f of arity
+    >= 3 has at most one up to scale (triple rows of rank <= 1 make f
+    degenerate), and at arity 2 the first one decomposes.
+
+    (x, y), or v, is read in closed form from two entries, and the others
+    agree: the n-1 rows, each verified by ``_null_space``, leave a solution
+    space of dimension 2 (free f_0 and f_1; f_0 and f_n if r = 0; f_{n-1}
+    and f_n if q = r = 0), spanned by the two independent root sequences:
+    u^{tensor n} and v^{tensor n}, or Sym_n^{n-1}(u; v), v = (1, 0), (0, 1).
     """
     n = f.arity
     if f.is_zero():
@@ -616,7 +607,7 @@ def tensor_decompose(f):
     deg = _degenerate_form(f)
     if deg is not None:
         return TensorDecomposition("degenerate", n, u=deg[1], c=deg[0])
-    basis = _null_space([(f[k], f[k + 1], f[k + 2]) for k in range(n - 1)])
+    basis = _null_space(f)
     if not basis:
         return TensorDecomposition("none", n)
     roots = _roots_of_triple(*basis[0])
@@ -624,11 +615,15 @@ def tensor_decompose(f):
         return TensorDecomposition("irrational", n)
     u = roots[1]
     if roots[0] == "distinct":
-        w = _solve_pair(f, degenerate(u, n), degenerate(roots[2], n))
-        if w is not None:
-            return TensorDecomposition("distinct", n, u=u, v=roots[2], x=w[0], y=w[1])
-    else:
-        v = _solve_pair(f, sym_n_n1(u, (ONE, ZERO), n), sym_n_n1(u, (ZERO, ONE), n))
-        if v is not None:
-            return TensorDecomposition("double", n, u=u, v=v)
-    return TensorDecomposition("none", n)
+        v = roots[2]
+        if u[0].is_zero():  # u = (0, 1): f_0 = y and f_n = x + y v1^n
+            x, y = f[n] - f[0] * v[1] ** n, f[0]
+        else:  # f_0 = x + y and f_1 = x u1 + y v1
+            x = (f[1] - v[1] * f[0]) / (u[1] - v[1])
+            y = f[0] - x
+        return TensorDecomposition("distinct", n, u=u, v=v, x=x, y=y)
+    if u[0].is_zero():  # u = (0, 1): f_{n-1} = v0 and f_n = n v1
+        v = (f[n - 1], f[n] / n)
+    else:  # f_0 = n v0 and f_1 = v1 + (n-1) u1 v0
+        v = (f[0] / n, f[1] - (n - 1) * u[1] * f[0] / n)
+    return TensorDecomposition("double", n, u=u, v=v)

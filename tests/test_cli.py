@@ -824,3 +824,25 @@ def test_closed_stdout_ends_without_a_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=600) == cli.EXIT_CLOSED_PIPE
     assert "Traceback" not in err and "Error" not in err, err
+
+
+def test_document_shape_refusals_name_the_document_or_key(tmp_path,
+                                                          capsys):
+    cases = [
+        (["eval"], [1, 2], "'document'"),
+        (["classify"], ["signatures"], "'document'"),
+        (["pm"], "text", "'document'"),
+        (["eval"], {"vertices": [], "edges": []}, "'signatures'"),
+        (["classify"], {"sizes": [2]}, "'signatures'"),
+        (["classify", "--framework", "binary-eq"], {"S": [3]}, "'f'"),
+        (["classify", "--framework", "binary-eq"], {"f": ["1", "0", "1"]},
+         "'S'"),
+        (["classify", "--framework", "hpm"], {"vertices": []},
+         "'hyperedges'"),
+        (["hpm"], {"vertices": [], "rotation": {}}, "'hyperedges'"),
+        (["pm"], {"vertices": [], "edges": []}, "'rotation'"),
+    ]
+    for argv, doc, name in cases:
+        code, out = run_cli(capsys, argv + [write_doc(tmp_path, doc)])
+        assert (code, out["error"]) == (2, "ValueError"), (argv, doc, out)
+        assert name in out["message"], (argv, doc, out)
