@@ -20,7 +20,8 @@ from planar_holant.solvers import (
 )
 
 from test_solvers import (
-    brute_pm, random_weighted_graph, random_product_grid,
+    brute_pm, random_weighted_graph, random_q_weighted_graph,
+    random_product_grid,
     random_affine_grid, random_vanishing_grid, build_instance_biased,
     z_side_grid, with_self_loop,
 )
@@ -55,6 +56,9 @@ def main():
     bad = 0
     bad += race("fkt", fkt_count_pm, brute_pm,
                 [random_weighted_graph(base + s) for s in range(n)])
+    # weights with a denominator and all four zeta_8 coordinates
+    bad += race("fkt-q", fkt_count_pm, brute_pm,
+                [random_q_weighted_graph(base + s) for s in range(n)])
     bad += race("product", product_eval, lambda g: g.holant(cap=40),
                 [random_product_grid(base + s) for s in range(n)])
     bad += race("affine", affine_eval, lambda g: g.holant(cap=40),

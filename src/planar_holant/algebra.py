@@ -81,11 +81,11 @@ def _cofactor(n0, n1, n2, n3):
     != 0: p = 1 for an int x, else sigma_3(x) sigma_5(x) sigma_7(x)."""
     if not (n1 or n2 or n3):
         return (1, 0, 0, 0), n0
-    p = _product(*_product(n0, n3, -n2, n1, n0, -n1, n2, -n3),
-                 n0, -n3, -n2, -n1)
-    norm = _product(n0, n1, n2, n3, *p)
-    assert norm[1] == norm[2] == norm[3] == 0
-    return p, norm[0]
+    # y = x sigma_5(x) = a + b i is fixed by sigma_5, so it lies in Q(i),
+    # and p = sigma_5(x) conj(y), with norm x p = y conj(y) = a^2 + b^2
+    a, y1, b, y3 = _product(n0, n1, n2, n3, n0, -n1, n2, -n3)
+    assert y1 == y3 == 0
+    return _product(n0, -n1, n2, -n3, a, 0, -b, 0), a * a + b * b
 
 
 def _numerators(xs):
@@ -105,6 +105,86 @@ def _cross(a, b):
 def _dot(a, b):
     """The dot product of two triples of numerator tuples."""
     return tuple(map(sum, zip(*(_product(*x, *y) for x, y in zip(a, b)))))
+
+
+def _skew_rows(rows):
+    """{i: {j: (n0, n1, n2, n3, d)}}, as ``_make`` takes them, of sparse rows
+    ``rows[i] = {j: a_ij}`` of AlgebraicNumbers, ints or Fractions."""
+    return {i: {j: x.num + (x.den,) if type(x) is AlgebraicNumber
+                else (x.numerator, 0, 0, 0, x.denominator)
+                for j, x in row.items()} for i, row in enumerate(rows)}
+
+
+def _skew_pivot(rows, r, c):
+    """Eliminate rows r and c of the sparse skew matrix ``rows`` (as
+    ``_skew_rows`` gives it, nonzero entries only) in place: drop them and
+    apply the rank-2 Schur update a_ij += (a_ci a_rj - a_ri a_cj) / p to the
+    other pairs i < j, dropping entries that cancel; return the pivot
+    p = a_rc != 0 as an AlgebraicNumber.  a_ci / p is formed only for an i
+    below some j of row r (a_ri / p likewise), and 1/p not at all when
+    either pivot row has no other entry.  A product with a rational factor
+    takes 4 integer products, and a gcd runs only on a denominator other
+    than 1."""
+    row_r, row_c = rows.pop(r), rows.pop(c)
+    p0, p1, p2, p3, dp = row_r.pop(c)
+    del row_c[r]
+    for i in row_r:
+        del rows[i][r]
+    for i in row_c:
+        del rows[i][c]
+    if not (row_r and row_c):
+        return _make(p0, p1, p2, p3, dp)
+    (q0, q1, q2, q3), dq = _cofactor(p0, p1, p2, p3)
+    k = dp if dq > 0 else -dp  # 1/p = (q0 + q1 z + q2 z^2 + q3 z^3) k / |dq|
+    q0, q1, q2, q3, dq = q0 * k, q1 * k, q2 * k, q3 * k, abs(dq)
+    # s = a_ci / p against row r, then s = -a_ri / p against row c
+    for row_j, row_s in ((row_r, row_c), (row_c, row_r)):
+        top = max(row_j)
+        for i, (s0, s1, s2, s3, ds) in row_s.items():
+            if i >= top:
+                continue
+            if not (q1 or q2 or q3):
+                s0, s1, s2, s3 = s0 * q0, s1 * q0, s2 * q0, s3 * q0
+            else:
+                s0, s1, s2, s3 = _product(s0, s1, s2, s3, q0, q1, q2, q3)
+            ds *= dq
+            if ds != 1:
+                g = gcd(s0, s1, s2, s3, ds)
+                s0, s1, s2, s3, ds = s0 // g, s1 // g, s2 // g, s3 // g, \
+                    ds // g
+            s_rational, row_i = not (s1 or s2 or s3), rows[i]
+            for j, (a0, a1, a2, a3, da) in row_j.items():
+                if j <= i:
+                    continue
+                if s_rational:
+                    v0, v1, v2, v3 = s0 * a0, s0 * a1, s0 * a2, s0 * a3
+                elif not (a1 or a2 or a3):
+                    v0, v1, v2, v3 = a0 * s0, a0 * s1, a0 * s2, a0 * s3
+                else:
+                    v0, v1, v2, v3 = (s0 * a0 - s1 * a3 - s2 * a2 - s3 * a1,
+                                      s0 * a1 + s1 * a0 - s2 * a3 - s3 * a2,
+                                      s0 * a2 + s1 * a1 + s2 * a0 - s3 * a3,
+                                      s0 * a3 + s1 * a2 + s2 * a1 + s3 * a0)
+                dv = ds * da
+                if j in row_i:
+                    b0, b1, b2, b3, db = row_i[j]
+                    if db == dv:
+                        v0, v1, v2, v3 = v0 + b0, v1 + b1, v2 + b2, v3 + b3
+                    else:
+                        v0, v1, v2, v3, dv = (
+                            v0 * db + b0 * dv, v1 * db + b1 * dv,
+                            v2 * db + b2 * dv, v3 * db + b3 * dv, dv * db)
+                    if not (v0 or v1 or v2 or v3):
+                        del row_i[j], rows[j][i]
+                        continue
+                if dv != 1:
+                    g = gcd(v0, v1, v2, v3, dv)
+                    v0, v1, v2, v3, dv = v0 // g, v1 // g, v2 // g, v3 // g, \
+                        dv // g
+                row_i[j] = v0, v1, v2, v3, dv
+                rows[j][i] = -v0, -v1, -v2, -v3, dv
+        q0, q1, q2, q3 = -q0, -q1, -q2, -q3
+    return _make(p0, p1, p2, p3, dp)
 
 
 class AlgebraicNumber:

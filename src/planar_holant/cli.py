@@ -120,8 +120,10 @@ def cmd_classify(args):
         return {"f": [str(e) for e in f.entries], "S": sorted(set(doc["S"])),
                 "verdict": verdict_json(verdict)}, EXIT_OK
     if args.framework == "hpm":
-        sizes = doc["sizes"] if "sizes" in doc \
-            else [len(h["members"]) for h in doc["hyperedges"]]
+        sizes = doc["sizes"] if "sizes" in doc else [
+            len(_json_list(_json_object(h, "hyperedges")["members"],
+                           "members"))
+            for h in _json_list(doc["hyperedges"], "hyperedges")]
         verdict = hypergraph_verdict(sizes)  # refuses bad sizes first
         return {"sizes": sorted(sizes), "verdict": verdict_json(verdict)}, \
             EXIT_OK

@@ -189,7 +189,7 @@ def _link(rotations, edges, dangling=()):
     missing = set(half_owner) - seen
     if missing:
         raise StructureError("half-edges neither matched nor dangling: %r"
-                             % sorted(missing))
+                             % sorted(missing, key=repr))
     return half_owner, partner
 
 
@@ -453,15 +453,24 @@ def _signatures_from_json(doc):
                                              "signatures").items()}
 
 
-def _json_id(x):
-    """An id read from a JSON value: the value, but a list becomes a tuple."""
-    return tuple(map(_json_id, x)) if isinstance(x, list) else x
+def _json_id(x, field):
+    """An id read from a document's field: the JSON value, but a list becomes
+    a tuple; a JSON object, which has no hash, is a ValueError naming the
+    field."""
+    if isinstance(x, dict):
+        raise ValueError("an id in %r cannot be a JSON object" % (field,))
+    return tuple(_json_id(y, field) for y in x) if isinstance(x, list) else x
+
+
+_PLAIN_IDS = frozenset((int, str))  # the id types _json_id returns as they are
 
 
 def _json_ids(values, field):
     """A document's JSON list of ids, as ``_json_id`` reads each."""
     values = _json_list(values, field)
-    return list(map(_json_id, values)) if list in map(type, values) else values
+    if _PLAIN_IDS.issuperset(map(type, values)):
+        return values
+    return [_json_id(x, field) for x in values]
 
 
 def _json_key(x):
@@ -501,7 +510,8 @@ def grid_from_json(doc):
                              "and a sig that is a string")
         if vd["sig"] not in sigs:
             raise StructureError("unknown signature %r" % vd["sig"])
-        vertices.append(Vertex(_json_id(vd["id"]), sigs[vd["sig"]],
+        vertices.append(Vertex(_json_id(vd["id"], "vertices"),
+                               sigs[vd["sig"]],
                                _json_ids(vd["rotation"], "rotation")))
     return PlanarGrid(
         vertices, [_json_ids(e, "edges")

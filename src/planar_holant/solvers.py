@@ -4,11 +4,14 @@ Five solver families live here:
 
 * ``fkt_count_pm``: weighted perfect matchings of a planar graph through a
   Pfaffian orientation and a sparse skew-symmetric elimination in
-  minimum-degree order that inverts each pivot once.  The orientation fixes
-  the faces and spanning forest that the graph's genus-0 check read (FKT
-  traces none of its own) by dual-tree face fixing; a self-loop takes part
-  there and is left out of the matrix.  The sign every matching term shares
-  is read off one perfect matching, found by Edmonds' blossom search;
+  minimum-degree order, run on each entry's integer numerators over its
+  denominator (``algebra._skew_pivot``): a pivot is inverted at most once,
+  and only the pivot-row entries some update uses are scaled by it.  The
+  orientation fixes the faces and spanning forest that the graph's genus-0
+  check read (FKT traces none of its own) by dual-tree face fixing; a
+  self-loop takes part there and is left out of the matrix.  The sign every
+  matching term shares is read off one perfect matching, found by Edmonds'
+  blossom search;
 * ``product_eval``: product-type grids, by propagating the at-most-two
   consistent patterns per constraint component;
 * ``affine_eval``: affine grids, by Gauss-sum variable elimination over F_2
@@ -32,7 +35,8 @@ from collections import Counter, defaultdict
 from itertools import combinations, permutations
 from math import gcd, prod
 
-from .algebra import AN, I, ONE, SQRT2, ZERO, ZETA
+from .algebra import (AN, AlgebraicNumber, I, ONE, SQRT2, ZERO, ZETA,
+                      _skew_pivot, _skew_rows)
 from .classify import (
     SetVerdict,
     _is_diseq,
@@ -56,6 +60,7 @@ from .grid import (
     _json_key,
     _json_keyed,
     _json_list,
+    _json_object,
     _json_scalar,
     _link,
     edge_cap,
@@ -118,42 +123,25 @@ class WeightedPlanarGraph:
 
 def _pfaffian(rows, one=ONE):
     """Pfaffian of the skew matrix with sparse rows ``rows[i] = {j: a_ij}``
-    (nonzero entries only; consumed) over the field of ``one``: Q(zeta_8),
-    or Q with ``one=Fraction(1)``.  Each step pivots on the live row with
-    the fewest nonzeros and its sparsest neighbour (minimum degree), inverts
-    the pivot once and applies the rank-2 Schur update only to pairs of rows
-    in the support of the two pivot rows, dropping entries that cancel."""
-    zero, total, flip = one - one, one, False
-    rows = dict(enumerate(rows))  # live rows, in their original order
-    while rows:
-        r = min(rows, key=lambda i: len(rows[i]))
-        if not rows[r]:
-            return zero
+    (nonzero entries only) over the field of ``one``: Q(zeta_8), or Q with
+    ``one=Fraction(1)``, where the result is a Fraction.  Each step pivots
+    on the live row with the fewest nonzeros and its sparsest neighbour
+    (minimum degree), and ``algebra._skew_pivot`` applies the rank-2 Schur
+    update to the pairs of rows in the support of the two pivot rows, on
+    integer numerators over a denominator, each entry read once."""
+    rows, total, flip = _skew_rows(rows), ONE, False
+    while rows:  # live rows, in their original order
+        n, r = min(zip(map(len, rows.values()), rows))
+        if not n:
+            return one - one
         c = min(rows[r], key=lambda j: len(rows[j]))
         # moving r, c to the front of the live order flips the sign once per
         # position passed, and once more if c comes first (a_cr = -a_rc)
         pr, pc = map(list(rows).index, (r, c))
         flip ^= (pr + pc + (pr < pc)) % 2 == 1
-        row_r, row_c = rows.pop(r), rows.pop(c)
-        p = row_r.pop(c)
-        del row_c[r]
-        total, inv = total * p, one / p
-        for i in row_r.keys() | row_c.keys():
-            rows[i].pop(r, None)
-            rows[i].pop(c, None)
-        # a_ij += (a_ci a_rj - a_ri a_cj) / p over the pairs i < j
-        for pivot_row, scale in ((row_r, {i: a * inv for i, a in row_c.items()}),
-                                 (row_c, {i: -a * inv for i, a in row_r.items()})):
-            for i, s in scale.items():
-                row_i = rows[i]
-                for j, a in pivot_row.items():
-                    if j > i:
-                        v = row_i.get(j, zero) + s * a
-                        if v:
-                            row_i[j], rows[j][i] = v, -v
-                        else:
-                            del row_i[j], rows[j][i]
-    return -total if flip else total
+        total = total * _skew_pivot(rows, r, c)
+    total = -total if flip else total
+    return total if isinstance(one, AlgebraicNumber) else total.rational()
 
 
 def _kasteleyn(m, arcs):
@@ -360,13 +348,16 @@ def fkt_count_pm(g):
 
 def weighted_graph_from_json(doc):
     vertices = _json_ids(doc["vertices"], "vertices")
+    edges = [_json_list(e, "edges") for e in _json_list(doc["edges"], "edges")]
+    if any(len(e) != 3 for e in edges):
+        raise ValueError("each 'edges' entry must be [half, half, weight]")
     return WeightedPlanarGraph(
         vertices,
         {v: _json_ids(r, "rotation")
          for v, r in _json_keyed(doc["rotation"], vertices, "rotation",
                                  "rotation of unknown vertex %r").items()},
-        [(_json_id(a), _json_id(b), _json_scalar(w))
-         for a, b, w in (_json_list(e, "edges") for e in doc["edges"])])
+        [(_json_id(a, "edges"), _json_id(b, "edges"), _json_scalar(w))
+         for a, b, w in edges])
 
 
 def weighted_graph_to_json(g):
@@ -1378,8 +1369,11 @@ def hypergraph_pm(h, cap=None):
 
 def hypergraph_from_json(doc):
     vertices = _json_ids(doc["vertices"], "vertices")
-    hyperedges = [(_json_id(e["id"]), _json_ids(e["members"], "members"))
-                  for e in doc["hyperedges"]]
+    hyperedges = []
+    for e in _json_list(doc["hyperedges"], "hyperedges"):
+        e = _json_object(e, "hyperedges")
+        hyperedges.append((_json_id(e["id"], "hyperedges"),
+                           _json_ids(e["members"], "members")))
     return PlanarHypergraph(
         vertices, hyperedges,
         {k: _json_ids(r, "rotation")

@@ -846,3 +846,46 @@ def test_document_shape_refusals_name_the_document_or_key(tmp_path,
         code, out = run_cli(capsys, argv + [write_doc(tmp_path, doc)])
         assert (code, out["error"]) == (2, "ValueError"), (argv, doc, out)
         assert name in out["message"], (argv, doc, out)
+
+
+def test_entry_shape_refusals_name_their_field(tmp_path, capsys):
+    pm = {"vertices": [0, 1], "rotation": {"0": ["a"], "1": ["b"]},
+          "edges": [["a", "b", "1"]]}
+    hpm = hpm_doc([1, 2])
+    grid = grid_to_json(k4_grid())
+    object_id = {"0": 0}
+    cases = [
+        (["pm"], dict(pm, edges=[["a", "b"]]), "'edges'"),
+        (["pm"], dict(pm, edges=[["a", "b", "1", "2"]]), "'edges'"),
+        (["pm"], dict(pm, edges=[["a", object_id, "1"]]), "'edges'"),
+        (["pm"], dict(pm, vertices=[0, object_id]), "'vertices'"),
+        (["hpm"], dict(hpm, hyperedges=[["h", [1, 2]]]), "'hyperedges'"),
+        (["hpm"], dict(hpm, hyperedges="h"), "'hyperedges'"),
+        (["hpm"], dict(hpm, hyperedges=[{"id": object_id, "members": [1]}]),
+         "'hyperedges'"),
+        (["hpm"], dict(hpm, hyperedges=[{"id": "h", "members": [{}]}]),
+         "'members'"),
+        (["classify", "--framework", "hpm"], {"hyperedges": [[1, 2]]},
+         "'hyperedges'"),
+        (["classify", "--framework", "hpm"],
+         {"hyperedges": [{"members": 3}]}, "'members'"),
+        (["eval"], dict(grid, vertices=[dict(grid["vertices"][0],
+                                             id=object_id)]
+                        + grid["vertices"][1:]), "'vertices'"),
+        (["eval"], dict(grid, edges=[[object_id, "x"]]), "'edges'"),
+    ]
+    for argv, doc, name in cases:
+        code, out = run_cli(capsys, argv + [write_doc(tmp_path, doc)])
+        assert (code, out["error"]) == (2, "ValueError"), (argv, doc, out)
+        assert name in out["message"], (argv, doc, out)
+
+
+def test_unmatched_half_edges_of_mixed_id_types_are_listed(tmp_path,
+                                                            capsys):
+    # the refusal lists the unmatched half-edges, an int and a string
+    doc = {"signatures": {"f": ["1", "0", "1"]},
+           "vertices": [{"id": 0, "sig": "f", "rotation": [1, "b"]}],
+           "edges": []}
+    code, out = run_cli(capsys, ["eval", write_doc(tmp_path, doc)])
+    assert (code, out["error"]) == (2, "StructureError"), out
+    assert "neither matched nor dangling" in out["message"], out

@@ -71,3 +71,14 @@ def test_fkt_matches_oracle(m, n):
 def test_fkt_matches_oracle_at_40x40():
     # a count of 198 digits, through the field's large-coefficient products
     assert fkt_count_pm(rectangle_graph(40, 40)) == AN(domino_count(40, 40))
+
+
+@pytest.mark.parametrize("k", [16, 24])
+@pytest.mark.parametrize("c", ["2/3", "1/3 + 1/3*w", "-5/7"])
+def test_fkt_with_non_integral_weights_matches_oracle(c, k):
+    # every weight is c, and every perfect matching of the k x k grid has
+    # k^2 / 2 edges, so the weighted count is c^(k^2/2) times the count
+    c, g = AN(c), rectangle_graph(k, k)
+    g = WeightedPlanarGraph(g.vertex_ids, g.rotation,
+                            [(a, b, c) for a, b, _ in g.edges])
+    assert fkt_count_pm(g) == c ** (k * k // 2) * domino_count(k, k)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import planar_holant.algebra as algebra
 import planar_holant.solvers as solvers
 from planar_holant.algebra import AN, AlgebraicNumber, I, ONE, ZERO
 from planar_holant.classify import in_A, in_P, in_vanishing_minus, in_vanishing_plus
@@ -1940,3 +1941,119 @@ def test_hypergraph_pm_gcd5_follows_eo_route(seed):
     verdict, value = hypergraph_pm(h, cap=1)
     assert verdict.route == "eo"
     assert value == brute_hpm(h)
+
+
+
+# -- the Pfaffian on integer numerators over a denominator --------------------
+
+def q_weight(rnd):
+    """A weight of Q(zeta_8) with a denominator and four nonzero
+    coordinates."""
+    den = rnd.choice((2, 3, 5, 6, 7))
+    return AlgebraicNumber(*(Fraction(rnd.choice((-3, -2, -1, 1, 2, 3)), den)
+                             for _ in range(4)))
+
+
+def random_q_weighted_graph(seed):
+    """``random_weighted_graph``'s multigraphs, with ``q_weight`` weights."""
+    rnd = random.Random("q-%d" % seed)
+    rots, raw = cycle_hub_topology(rnd, loops=True)
+    return WeightedPlanarGraph(
+        sorted(rots), rots, [(a, b, q_weight(rnd)) for (a, b) in raw])
+
+
+def rational_entry(rnd):
+    return AN(Fraction(rnd.choice((-5, -3, -2, -1, 1, 2, 3, 4)),
+                       rnd.choice((1, 2, 3, 7))))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_pfaffian_with_denominators_matches_expansion(seed):
+    rnd = random.Random("pf-den-%d" % seed)
+    a = skew(seed % 9, q_weight if seed % 2 else rational_entry,
+             (0.4, 0.7, 1.0)[seed % 3], rnd)
+    a = [[AN(x) for x in row] for row in a]
+    assert solvers._pfaffian(sparse_rows(a)) == naive_pfaffian(a, ZERO)
+    if seed % 2 == 0:  # the same matrix over Q
+        b = [[x.rational() for x in row] for row in a]
+        pf = solvers._pfaffian(sparse_rows(b), Fraction(1))
+        assert type(pf) is Fraction and pf == naive_pfaffian(b, Fraction(0))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_pfaffian_negative_rational_pivots(seed):
+    # every entry is a negative fraction, so the first pivot is one, and
+    # _cofactor gives a rational pivot back as its own "norm"
+    assert algebra._cofactor(-5, 0, 0, 0) == ((1, 0, 0, 0), -5)
+    rnd = random.Random("pf-neg-%d" % seed)
+    a = skew(2 * (seed % 4 + 1),
+             lambda r: AN(Fraction(-r.randint(1, 9), r.choice((1, 3, 7)))),
+             0.8, rnd)
+    a = [[AN(x) for x in row] for row in a]
+    assert solvers._pfaffian(sparse_rows(a)) == naive_pfaffian(a, ZERO)
+    b = [[x.rational() for x in row] for row in a]
+    assert (solvers._pfaffian(sparse_rows(b), Fraction(1))
+            == naive_pfaffian(b, Fraction(0)))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pfaffian_mixed_rational_and_irrational_rows(seed):
+    # rows in ``rational`` meet each other in rational entries and every
+    # other row in q_weight entries
+    rnd = random.Random("pf-mixed-%d" % seed)
+    n = 2 + seed % 7
+    rational = set(rnd.sample(range(n), rnd.randint(1, n)))
+    a = [[ZERO] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if rnd.random() < 0.7:
+            a[i][j] = (rational_entry(rnd) if {i, j} <= rational
+                       else q_weight(rnd))
+            a[j][i] = -a[i][j]
+    assert solvers._pfaffian(sparse_rows(a)) == naive_pfaffian(a, ZERO)
+
+
+def test_pfaffian_pendant_vertex_inverts_no_pivot(monkeypatch):
+    cofactor, calls = algebra._cofactor, []
+
+    def counting(*x):
+        calls.append(x)
+        return cofactor(*x)
+
+    monkeypatch.setattr(algebra, "_cofactor", counting)
+    rnd = random.Random("pendant")
+    # the path 0-1-2-3: each pivot's partner row is left empty
+    w = [q_weight(rnd) for _ in range(3)]
+    a = [[ZERO] * 4 for _ in range(4)]
+    for i in range(3):
+        a[i][i + 1], a[i + 1][i] = w[i], -w[i]
+    assert solvers._pfaffian(sparse_rows(a)) == w[0] * w[2]
+    assert calls == []
+    # pendants 0 and 5 on the triangle 2-3-4
+    b = [[ZERO] * 6 for _ in range(6)]
+    for i, j in ((0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (4, 5)):
+        b[i][j] = q_weight(rnd)
+        b[j][i] = -b[i][j]
+    assert solvers._pfaffian(sparse_rows(b)) == naive_pfaffian(b, ZERO)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_fkt_matches_brute_with_q_weights(seed):
+    g = random_q_weighted_graph(seed)
+    assert fkt_count_pm(g) == brute_pm(g)
+
+
+def test_fkt_pendant_vertices():
+    # the 4-cycle 1-2-3-4 with pendants 0 at 1 and 5 at 2, which force
+    # their edges and leave the edge 3-4 (a graph with one cycle is planar
+    # under every rotation)
+    rnd = random.Random("fkt-pendant")
+    pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 1), (2, 5)]
+    rot = {v: [] for v in range(6)}
+    w, edges = {}, []
+    for v, u in pairs:
+        rot[v].append("%d-%d" % (v, u))
+        rot[u].append("%d-%d" % (u, v))
+        w[v, u] = q_weight(rnd)
+        edges.append(("%d-%d" % (v, u), "%d-%d" % (u, v), w[v, u]))
+    g = WeightedPlanarGraph(list(rot), rot, edges)
+    assert fkt_count_pm(g) == w[0, 1] * w[2, 5] * w[3, 4] == brute_pm(g)
