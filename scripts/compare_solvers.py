@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from planar_holant.solvers import (
     fkt_count_pm, product_eval, affine_eval, vanishing_eval,
-    EOInstance, eo_geneq_eval, evaluate,
+    EOInstance, WeightedPlanarGraph, eo_geneq_eval, evaluate,
 )
 
 from test_solvers import (
@@ -25,6 +25,7 @@ from test_solvers import (
     random_affine_grid, random_vanishing_grid, build_instance_biased,
     z_side_grid, with_self_loop,
 )
+from test_weighted_graph import mixed_id_graph
 
 
 def race(name, fast, slow, instances):
@@ -59,6 +60,11 @@ def main():
     # weights with a denominator and all four zeta_8 coordinates
     bad += race("fkt-q", fkt_count_pm, brute_pm,
                 [random_q_weighted_graph(base + s) for s in range(n)])
+    # ids mixing ints, strings and tuples; isolated vertices, several
+    # components, self-loops and parallel arcs that cancel
+    bad += race("fkt-mixed", fkt_count_pm, brute_pm,
+                [WeightedPlanarGraph(*mixed_id_graph(base + s))
+                 for s in range(n)])
     bad += race("product", product_eval, lambda g: g.holant(cap=40),
                 [random_product_grid(base + s) for s in range(n)])
     bad += race("affine", affine_eval, lambda g: g.holant(cap=40),

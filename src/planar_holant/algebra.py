@@ -107,12 +107,22 @@ def _dot(a, b):
     return tuple(map(sum, zip(*(_product(*x, *y) for x, y in zip(a, b)))))
 
 
+def _entry(x):
+    """(n0, n1, n2, n3, d), as ``_make`` takes them, of an AlgebraicNumber,
+    int or Fraction."""
+    if type(x) is AlgebraicNumber:
+        return x.num + (x.den,)
+    return x.numerator, 0, 0, 0, x.denominator
+
+
 def _skew_rows(rows):
-    """{i: {j: (n0, n1, n2, n3, d)}}, as ``_make`` takes them, of sparse rows
-    ``rows[i] = {j: a_ij}`` of AlgebraicNumbers, ints or Fractions."""
-    return {i: {j: x.num + (x.den,) if type(x) is AlgebraicNumber
-                else (x.numerator, 0, 0, 0, x.denominator)
-                for j, x in row.items()} for i, row in enumerate(rows)}
+    """{i: {j: (n0, n1, n2, n3, d)}} of the list of sparse rows
+    ``rows[i] = {j: a_ij}`` of field values (``_entry``); rows already in
+    that form, a dict, are returned as they are."""
+    if type(rows) is dict:
+        return rows
+    return {i: {j: _entry(x) for j, x in row.items()}
+            for i, row in enumerate(rows)}
 
 
 def _skew_pivot(rows, r, c):

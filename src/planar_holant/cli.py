@@ -80,7 +80,7 @@ def parse_matrix(text):
 
 
 def sig_from_doc(entries, field):
-    return SymmetricSignature([_json_scalar(e)
+    return SymmetricSignature([_json_scalar(e, field)
                                for e in _json_list(entries, field)])
 
 
@@ -120,7 +120,7 @@ def cmd_classify(args):
         return {"f": [str(e) for e in f.entries], "S": sorted(set(doc["S"])),
                 "verdict": verdict_json(verdict)}, EXIT_OK
     if args.framework == "hpm":
-        sizes = doc["sizes"] if "sizes" in doc else [
+        sizes = _json_list(doc["sizes"], "sizes") if "sizes" in doc else [
             len(_json_list(_json_object(h, "hyperedges")["members"],
                            "members"))
             for h in _json_list(doc["hyperedges"], "hyperedges")]

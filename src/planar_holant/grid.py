@@ -5,7 +5,9 @@ A grid is a set of vertices carrying signatures, a counterclockwise rotation
 of half-edge ids, and an ordered list of dangling half-edges for F-gates.
 Faces come from rotation-system traversal; planarity is verified through the
 Euler formula per connected component, never computed.  One pass over an
-embedding, ``_embedding``, gives its faces, components and a spanning forest.
+embedding, ``_embed``, gives its faces, components and a spanning forest on
+lists indexed by half-edge numbers (``_number``); ``_embedding`` reads it in
+ids.
 """
 
 import itertools
@@ -106,8 +108,8 @@ class PlanarGrid:
 
         Dangling half-edges are ignored; only matched darts trace faces.
         """
-        return _trace_faces((v.rotation for v in self.vertices.values()),
-                            self.partner)
+        return _embedding(self._rotations(), self.half_owner,
+                          self.partner)[0]
 
     def _rotations(self):
         return {v.id: v.rotation for v in self.vertices.values()}
@@ -162,7 +164,7 @@ def _link(rotations, edges, dangling=()):
 
     ``rotations`` maps each vertex id to its half-edge ids and ``edges``
     pairs half-edges; every half-edge must be in exactly one edge or in
-    ``dangling``.
+    ``dangling``.  ``partner`` lists the halves edge by edge.
     """
     half_owner = {}
     for vid, rot in rotations.items():
@@ -171,76 +173,110 @@ def _link(rotations, edges, dangling=()):
                 raise StructureError("half-edge %r used twice" % (h,))
             half_owner[h] = vid
     partner = {}
-    seen = set()
     for (a, b) in edges:
-        for h in (a, b):
-            if h not in half_owner:
-                raise StructureError("edge uses unknown half-edge %r" % (h,))
-            if h in seen:
-                raise StructureError("half-edge %r in two edges" % (h,))
-            seen.add(h)
-        partner[a], partner[b] = b, a
+        if a not in half_owner:
+            raise StructureError("edge uses unknown half-edge %r" % (a,))
+        if a in partner:
+            raise StructureError("half-edge %r in two edges" % (a,))
+        partner[a] = b
+        if b not in half_owner:
+            raise StructureError("edge uses unknown half-edge %r" % (b,))
+        if b in partner:
+            raise StructureError("half-edge %r in two edges" % (b,))
+        partner[b] = a
+    free = set()
     for h in dangling:
         if h not in half_owner:
             raise StructureError("dangling unknown half-edge %r" % (h,))
-        if h in seen:
+        if h in partner or h in free:
             raise StructureError("half-edge %r both matched and dangling" % (h,))
-        seen.add(h)
-    missing = set(half_owner) - seen
-    if missing:
+        free.add(h)
+    if len(half_owner) != len(partner) + len(free):
         raise StructureError("half-edges neither matched nor dangling: %r"
-                             % sorted(missing, key=repr))
+                             % sorted((h for h in half_owner
+                                       if h not in partner and h not in free),
+                                      key=repr))
     return half_owner, partner
 
 
-def _trace_faces(rotations, partner):
-    """Face orbits of the rotation system given by the half-edge lists in
-    ``rotations``, as lists of out-dart half-edges; half-edges without a
-    partner are skipped.  Orbits start at their least half-edge by repr."""
-    nxt = {}
-    for rot in rotations:
-        rot = [h for h in rot if h in partner]
-        nxt.update(zip(rot, rot[1:] + rot[:1]))
-    faces, seen = [], set()
-    for h0 in sorted(nxt, key=repr):
-        if h0 not in seen:
-            face, h = [h0], nxt[partner[h0]]
-            while h != h0:
-                face.append(h)
-                h = nxt[partner[h]]
-            seen.update(face)
-            faces.append(face)
+def _number(rotations, halves):
+    """(rot, owner) of the rotation system ``rotations`` (vertex id -> half
+    ids), its vertices numbered in that order and its matched ``halves``
+    listed edge by edge (as ``_link``'s ``partner`` is), so edge e's are 2e
+    and 2e + 1: v's halves in rotation order ``rot[v]``, h's vertex
+    ``owner[h]``."""
+    number = dict(zip(halves, range(len(halves))))
+    rot, owner = [], [0] * len(halves)
+    for v, halves in enumerate(rotations.values()):
+        halves = [number[h] for h in halves if h in number]
+        for h in halves:
+            owner[h] = v
+        rot.append(halves)
+    return rot, owner
+
+
+def _trace_faces(rot, size):
+    """Face orbits of the rotation system ``rot`` on halves 0 .. size - 1
+    (h ^ 1 is h's partner), as lists of out-dart halves, each starting at
+    its least half: after h comes the half that follows h ^ 1."""
+    step = [0] * size
+    for r in rot:
+        if r:
+            a = r[-1]
+            for b in r:
+                step[a ^ 1] = b
+                a = b
+    faces = []
+    for h0 in range(size):
+        h = step[h0]
+        if h < 0:
+            continue
+        face, step[h0] = [h0], -1
+        while h != h0:
+            face.append(h)
+            step[h], h = -1, step[h]
+        faces.append(face)
     return faces
 
 
-def _embedding(rotations, half_owner, partner):
-    """(faces, component, tree, ok) of the rotation system ``rotations``
-    (vertex id -> half-edge ids): the face orbits; from one depth-first
-    search, a component label 0, 1, ... per vertex and the spanning forest
-    it followed (the half each forest edge was left by); and whether every
-    component has V - E + F = 2, an edgeless one counting one face."""
-    faces = _trace_faces(rotations.values(), partner)
-    component, tree, count = {}, [], []  # count per label: [V - E, F]
-    for root in rotations:
-        if root in component:
+def _embed(rot, owner):
+    """(faces, component, tree, ok) of the numbered rotation system ``rot``
+    with half owners ``owner``, as ``_number`` gives them: the face orbits;
+    from one depth-first search, a component label 0, 1, ... per vertex
+    and the spanning forest it followed (the half each forest edge was left
+    by); and whether every component has V - E + F = 2, an edgeless one
+    counting one face."""
+    faces = _trace_faces(rot, len(owner))
+    component, tree, count = [-1] * len(rot), [], []  # V - E + F per label
+    for root in range(len(rot)):
+        if component[root] >= 0:
             continue
-        component[root] = len(count)
+        label = component[root] = len(count)
         stack, n_vertices, n_halves = [root], 0, 0
         while stack:
             v = stack.pop()
             n_vertices += 1
-            for h in rotations[v]:
-                if h in partner:
-                    n_halves += 1
-                    w = half_owner[partner[h]]
-                    if w not in component:
-                        component[w] = len(count)
-                        tree.append(h)
-                        stack.append(w)
-        count.append([n_vertices - n_halves // 2, 0])
+            n_halves += len(rot[v])
+            for h in rot[v]:
+                w = owner[h ^ 1]
+                if component[w] < 0:
+                    component[w] = label
+                    tree.append(h)
+                    stack.append(w)
+        count.append(n_vertices - n_halves // 2 + (not n_halves))
     for face in faces:
-        count[component[half_owner[face[0]]]][1] += 1
-    return faces, component, tree, all(ve + max(f, 1) == 2 for ve, f in count)
+        count[component[owner[face[0]]]] += 1
+    return faces, component, tree, all(c == 2 for c in count)
+
+
+def _embedding(rotations, half_owner, partner):
+    """``_embed`` of ``rotations`` (vertex id -> half-edge ids), with
+    ``_link``'s ``partner``, read back in ids: (faces, {vertex id: component
+    label}, tree halves, ok)."""
+    faces, component, tree, ok = _embed(*_number(rotations, partner))
+    halves = list(partner)
+    return ([[halves[h] for h in face] for face in faces],
+            dict(zip(rotations, component)), [halves[h] for h in tree], ok)
 
 
 class _DisjointSet:
@@ -436,18 +472,26 @@ def _json_list(value, field):
     return value
 
 
-def _json_scalar(x):
-    """A field scalar read from a document: ``AN(x)``, except that a JSON
-    boolean, which ``AN`` would read as 0 or 1, is a ValueError."""
+_NOT_A_SCALAR = "a scalar in %r must be an integer or a string, got %s"
+
+
+def _json_scalar(x, field):
+    """A field scalar read from a document's ``field``: ``AN(x)``.  A value
+    ``AN`` cannot read (a float, a list, null) is a TypeError, and a JSON
+    boolean, which it would read as 0 or 1, a ValueError; both name the
+    field."""
     if isinstance(x, bool):
-        raise ValueError("a scalar must be a number or a string, got %s"
-                         % json.dumps(x))
-    return AN(x)
+        raise ValueError(_NOT_A_SCALAR % (field, json.dumps(x)))
+    try:
+        return AN(x)
+    except TypeError:
+        raise TypeError(_NOT_A_SCALAR % (
+            field, json.dumps(x, default=repr))) from None
 
 
 def _signatures_from_json(doc):
     """The document's "signatures" object as {name: SymmetricSignature}."""
-    return {name: SymmetricSignature([_json_scalar(e)
+    return {name: SymmetricSignature([_json_scalar(e, name)
                                       for e in _json_list(entries, name)])
             for name, entries in _json_object(doc["signatures"],
                                              "signatures").items()}
@@ -519,7 +563,7 @@ def grid_from_json(doc):
         _json_ids(doc.get("dangling", []), "dangling"),
         _json_keyed(doc.get("side") or {}, (v.id for v in vertices), "side",
                     "side of unknown vertex %r"),
-        _json_scalar(doc["scalar"]) if "scalar" in doc else ONE)
+        _json_scalar(doc["scalar"], "scalar") if "scalar" in doc else ONE)
 
 
 def grid_to_json(grid):

@@ -8,10 +8,11 @@ Five solver families live here:
   denominator (``algebra._skew_pivot``): a pivot is inverted at most once,
   and only the pivot-row entries some update uses are scaled by it.  The
   orientation fixes the faces and spanning forest that the graph's genus-0
-  check read (FKT traces none of its own) by dual-tree face fixing; a
-  self-loop takes part there and is left out of the matrix.  The sign every
-  matching term shares is read off one perfect matching, found by Edmonds'
-  blossom search;
+  check read (FKT traces none of its own) by dual-tree face fixing, on
+  lists indexed by the check's half-edge numbers; a self-loop takes part
+  there and is left out of the matrix.  The sign every matching term
+  shares is read off one perfect matching, found by Edmonds' blossom
+  search;
 * ``product_eval``: product-type grids, by propagating the at-most-two
   consistent patterns per constraint component;
 * ``affine_eval``: affine grids, by Gauss-sum variable elimination over F_2
@@ -36,7 +37,7 @@ from itertools import combinations, permutations
 from math import gcd, prod
 
 from .algebra import (AN, AlgebraicNumber, I, ONE, SQRT2, ZERO, ZETA,
-                      _skew_pivot, _skew_rows)
+                      _entry, _make, _skew_pivot, _skew_rows)
 from .classify import (
     SetVerdict,
     _is_diseq,
@@ -54,7 +55,7 @@ from .grid import (
     TooLarge,
     Vertex,
     _DisjointSet,
-    _embedding,
+    _embed,
     _json_id,
     _json_ids,
     _json_key,
@@ -63,6 +64,7 @@ from .grid import (
     _json_object,
     _json_scalar,
     _link,
+    _number,
     edge_cap,
     holographic_transform_bipartite,
     two_stretch,
@@ -97,8 +99,10 @@ class WeightedPlanarGraph:
 
     ``rotation`` maps each vertex id to the counterclockwise list of its
     half-edge ids; ``edges`` is a list of (half, half, weight) triples.  The
-    genus-0 check keeps what it read for FKT: the face orbits ``faces``, a
-    component label per vertex ``component`` and a spanning forest ``tree``.
+    genus-0 check keeps what it read for FKT, on ``grid._number``'s numbers
+    (vertices in ``vertex_ids`` order, halves 2e and 2e + 1 of edge e):
+    rotations ``_rot``, half owners ``_owner``, faces ``_faces``, component
+    labels ``_label`` and a spanning forest ``_tree``.
     """
 
     def __init__(self, vertices, rotation, edges):
@@ -115,20 +119,26 @@ class WeightedPlanarGraph:
                 raise StructureError("rotation of unknown vertex %r" % (v,))
         self.half_owner, self.partner = _link(
             self.rotation, [(a, b) for (a, b, _) in self.edges])
-        self.faces, self.component, self.tree, ok = _embedding(
-            self.rotation, self.half_owner, self.partner)
+        self._rot, self._owner = _number(self.rotation, self.partner)
+        self._faces, self._label, self._tree, ok = _embed(self._rot,
+                                                          self._owner)
         if not ok:
             raise EmbeddingError("the rotation system is not genus 0")
+
+    @property
+    def component(self):
+        return dict(zip(self.vertex_ids, self._label))
 
 
 def _pfaffian(rows, one=ONE):
     """Pfaffian of the skew matrix with sparse rows ``rows[i] = {j: a_ij}``
-    (nonzero entries only) over the field of ``one``: Q(zeta_8), or Q with
-    ``one=Fraction(1)``, where the result is a Fraction.  Each step pivots
-    on the live row with the fewest nonzeros and its sparsest neighbour
-    (minimum degree), and ``algebra._skew_pivot`` applies the rank-2 Schur
-    update to the pairs of rows in the support of the two pivot rows, on
-    integer numerators over a denominator, each entry read once."""
+    (nonzero entries only; ``_kasteleyn``'s are used up) over the field of
+    ``one``: Q(zeta_8), or Q with ``one=Fraction(1)``, where the result is
+    a Fraction.  Each step pivots on the live row with the fewest nonzeros
+    and its sparsest neighbour (minimum degree), and ``algebra._skew_pivot``
+    applies the rank-2 Schur update to the pairs of rows in the support of
+    the two pivot rows, on integer numerators over a denominator, each
+    entry read once."""
     rows, total, flip = _skew_rows(rows), ONE, False
     while rows:  # live rows, in their original order
         n, r = min(zip(map(len, rows.values()), rows))
@@ -146,16 +156,21 @@ def _pfaffian(rows, one=ONE):
 
 def _kasteleyn(m, arcs):
     """Sparse rows of the m x m skew matrix with a_th = w and a_ht = -w for
-    each arc (t, h, w); parallel arcs add up, and entries that sum to zero
-    are left out."""
-    rows = [{} for _ in range(m)]
+    each arc (t, h, w), in the form ``algebra._skew_rows`` gives, which
+    ``_pfaffian`` eliminates in place; w is a numerator tuple
+    (n0, n1, n2, n3, d) or a field value.  Parallel arcs add up, and
+    entries that sum to zero are left out."""
+    rows = {i: {} for i in range(m)}
     for t, h, w in arcs:
+        if type(w) is not tuple:
+            w = _entry(w)
         if h in rows[t]:
-            w = rows[t][h] + w
-            if not w:
+            x = _make(*rows[t][h]) + _make(*w)
+            if not x:
                 del rows[t][h], rows[h][t]
                 continue
-        rows[t][h], rows[h][t] = w, -w
+            w = _entry(x)
+        rows[t][h], rows[h][t] = w, (-w[0], -w[1], -w[2], -w[3], w[4])
     return rows
 
 
@@ -271,78 +286,70 @@ def _matching_sign(m, arcs):
     return -1 if flips % 2 else 1
 
 
-def _fkt_component(g, vids, edges, faces, tree):
-    """Weighted matching sum of one connected component of g, given its
-    vertices, edges, face orbits and spanning tree as g's check read them."""
-    if len(vids) % 2:
-        return ZERO
-    owner, partner = g.half_owner, g.partner
-    edge_of = {}
-    for ei, (a, b, _) in enumerate(edges):
-        edge_of[a] = edge_of[b] = ei
-    # orientation: per edge, the half on the tail side; tree edges point
-    # away from the root
-    orient = {edge_of[h]: h for h in tree}
-    # dual-tree face fixing: every face except the outer root becomes odd.
-    # A self-loop is never a tree edge; it lies between two distinct faces
-    # and runs clockwise on exactly one, so once its arc is left out below,
-    # the two faces merge into one odd face, or into the outer face.
-    outer = max(range(len(faces)), key=lambda fi: (len(faces[fi]), -fi))
-    face_of_half = {h: fi for fi, face in enumerate(faces) for h in face}
-    undecided = [0] * len(faces)
-    for ei, (a, b, _) in enumerate(edges):
-        if ei not in orient:
-            undecided[face_of_half[a]] += 1
-            undecided[face_of_half[b]] += 1
-    queue = [fi for fi in range(len(faces))
-             if fi != outer and undecided[fi] == 1]
-    # the undecided edges form a spanning tree of the dual rooted at the
-    # outer face, so each other face is queued once, as a leaf
-    while queue:
-        fi = queue.pop()
-        # the face's one undecided edge makes its clockwise count odd
-        agree = sum(orient.get(edge_of[h]) == h for h in faces[fi])
-        h = next(h for h in faces[fi] if edge_of[h] not in orient)
-        ei = edge_of[h]
-        orient[ei] = h if agree % 2 == 0 else partner[h]
-        for half in (edges[ei][0], edges[ei][1]):
-            fj = face_of_half[half]
-            undecided[fj] -= 1
-            if fj != outer and undecided[fj] == 1:
-                queue.append(fj)
-    assert len(orient) == len(edges)
-    # every matching term of the Pfaffian has the same sign, so one perfect
-    # matching gives it; a nonzero Pfaffian proves that one exists
-    index = {v: i for i, v in enumerate(sorted(vids, key=repr))}
-    arcs = []
-    for ei, (_, _, w) in enumerate(edges):
-        t, h = owner[orient[ei]], owner[partner[orient[ei]]]
-        if t != h:  # a self-loop has no entry in the matrix
-            arcs.append((index[t], index[h], w))
-    pf = _pfaffian(_kasteleyn(len(vids), arcs))
-    return pf if not pf or _matching_sign(len(vids), arcs) > 0 else -pf
-
-
 def fkt_count_pm(g):
     """Exact weighted sum over perfect matchings of a planar graph, one
-    component at a time, on what g's genus-0 check read: its faces,
-    components and spanning forest."""
-    owner, label = g.half_owner, g.component
-    comps = {}  # label -> (vertices, edges, faces, tree) of one component
-    for v in g.vertex_ids:
-        comps.setdefault(label[v], ([], [], [], []))[0].append(v)
-    for e in g.edges:
-        comps[label[owner[e[0]]]][1].append(e)
-    for face in g.faces:
-        comps[label[owner[face[0]]]][2].append(face)
-    for h in g.tree:
-        comps[label[owner[h]]][3].append(h)
+    component at a time, on the numbered halves of g's genus-0 check: its
+    faces, component labels and spanning forest."""
+    owner, faces, label = g._owner, g._faces, g._label
+    # orientation: per edge e, its half on the tail side; tree edges point
+    # away from the root
+    orient = [-1] * (len(owner) // 2)
+    for h in g._tree:
+        orient[h >> 1] = h
+    # dual-tree face fixing: in each component, every face but one becomes
+    # odd.  A self-loop is never a tree edge; it lies between two distinct
+    # faces and runs clockwise on exactly one, so once its arc is left out
+    # below, the two faces merge into one odd face, or into the other one.
+    face_of, undecided = [0] * len(owner), []
+    for fi, face in enumerate(faces):
+        n = 0
+        for h in face:
+            face_of[h] = fi
+            n += orient[h >> 1] < 0
+        undecided.append(n)
+    # the undecided edges form a spanning tree of each component's dual,
+    # peeled leaf by leaf; the last face of each, its root, is left
+    queue = [fi for fi, n in enumerate(undecided) if n == 1]
+    while queue:
+        fi = queue.pop()
+        if not undecided[fi]:
+            continue
+        agree = free = 0
+        for h in faces[fi]:
+            t = orient[h >> 1]
+            if t < 0:
+                free = h
+            elif t == h:
+                agree += 1
+        # the face's one undecided edge makes its clockwise count odd
+        orient[free >> 1] = free ^ (agree & 1)
+        for fj in (face_of[free], face_of[free ^ 1]):
+            undecided[fj] -= 1
+            if undecided[fj] == 1:
+                queue.append(fj)
+    assert -1 not in orient
+    # per component: its vertices' positions and the arcs between them,
+    # with each weight read once into its numerator tuple
+    local, sizes = [], [0] * (max(label, default=-1) + 1)
+    for c in label:
+        local.append(sizes[c])
+        sizes[c] += 1
+    arcs = [[] for _ in sizes]
+    for (_, _, w), t in zip(g.edges, orient):
+        tail, head = owner[t], owner[t ^ 1]
+        if tail != head:  # a self-loop has no entry in the matrix
+            arcs[label[tail]].append(
+                (local[tail], local[head], w.num + (w.den,)))
+    # every matching term of the Pfaffian has the same sign, so one perfect
+    # matching gives it; a nonzero Pfaffian proves that one exists
     total = ONE
-    for comp in comps.values():
-        val = _fkt_component(g, *comp)
-        if val.is_zero():
+    for m, comp in zip(sizes, arcs):
+        if m % 2:
             return ZERO
-        total = total * val
+        pf = _pfaffian(_kasteleyn(m, comp))
+        if not pf:
+            return ZERO
+        total = total * (pf if _matching_sign(m, comp) > 0 else -pf)
     return total
 
 
@@ -356,7 +363,7 @@ def weighted_graph_from_json(doc):
         {v: _json_ids(r, "rotation")
          for v, r in _json_keyed(doc["rotation"], vertices, "rotation",
                                  "rotation of unknown vertex %r").items()},
-        [(_json_id(a, "edges"), _json_id(b, "edges"), _json_scalar(w))
+        [(_json_id(a, "edges"), _json_id(b, "edges"), _json_scalar(w, "edges"))
          for a, b, w in edges])
 
 
@@ -1294,8 +1301,8 @@ class PlanarHypergraph:
         # its vertex and its hyperedge
         darts = {node: [(node, half) for half in self.rotation.get(node, ())]
                  for node in nodes}
-        links = [((v, half), (e, half)) for half, (v, e) in owners.items()]
-        if not _embedding(darts, *_link(darts, links))[3]:
+        links = [(node, half) for half, who in owners.items() for node in who]
+        if not _embed(*_number(darts, links))[3]:
             raise EmbeddingError("the incidence embedding is not genus 0")
 
     def sizes(self):

@@ -889,3 +889,30 @@ def test_unmatched_half_edges_of_mixed_id_types_are_listed(tmp_path,
     code, out = run_cli(capsys, ["eval", write_doc(tmp_path, doc)])
     assert (code, out["error"]) == (2, "StructureError"), out
     assert "neither matched nor dangling" in out["message"], out
+
+
+def test_values_that_are_not_scalars_name_their_field(tmp_path, capsys):
+    pm = {"vertices": [1, 2], "rotation": {"1": ["a"], "2": ["b"]},
+          "edges": [["a", "b", [1]]]}
+    cases = [
+        (["eval"], dict(self_loop_doc(), signatures={"eq": ["1", 2.5, "1"]}),
+         "'eq'", "2.5"),
+        (["eval"], dict(self_loop_doc(), scalar={"0": 0}), "'scalar'",
+         '{"0": 0}'),
+        (["pm"], pm, "'edges'", "[1]"),
+        (["classify"], {"signatures": {"f": [None, "0", "1"]}}, "'f'",
+         "null"),
+        (["classify", "--framework", "binary-eq"],
+         {"f": ["1", [], "1"], "S": [3]}, "'f'", "[]"),
+        (["transform", "--matrix", "1,1;0,1"], {"signature": [1, 0.5]},
+         "'signature'", "0.5"),
+    ]
+    for argv, doc, field, value in cases:
+        code, out = run_cli(capsys, argv + [write_doc(tmp_path, doc)])
+        assert (code, out["error"]) == (2, "TypeError"), (argv, out)
+        assert out["message"] == ("a scalar in %s must be an integer or a "
+                                  "string, got %s" % (field, value)), out
+    code, out = run_cli(capsys, ["classify", "--framework", "hpm",
+                                 write_doc(tmp_path, {"sizes": True})])
+    assert (code, out["error"]) == (2, "ValueError"), out
+    assert "'sizes'" in out["message"], out
