@@ -335,9 +335,10 @@ class AlgebraicNumber:
         b = self
         while e:
             if e & 1:
-                r = r * b
-            b = b * b
+                r = b if r is ONE else r * b
             e >>= 1
+            if e:
+                b = b * b
         return r
 
     def __eq__(self, other):

@@ -130,13 +130,13 @@ def _i_power(x):
 
 
 # An AffineForm of f on edge variables x_1..x_n:
-#     f(x) = scalar * unit^n * [support] * i^(const + lin L + parity X)
+#     f(x) = scalar * [support] * i^(const + lin L + parity X)
 # with X = x_1 xor ... xor x_n and L = x_1 + ... + x_n, except that under the
 # "equal" support L is the common value x_1.  ``support`` is None (all of
 # {0,1}^n), "zeros" or "ones" (every x_j is 0, or 1), "equal" (all x_j
 # equal), "even" or "odd" (X = 0, or 1).  Exponents are mod 4.
-AffineForm = namedtuple("AffineForm", "scalar support lin parity const unit",
-                        defaults=(0, 0, 0, ONE))
+AffineForm = namedtuple("AffineForm", "scalar support lin parity const",
+                        defaults=(0, 0, 0))
 
 
 def affine_form(f):
@@ -155,13 +155,13 @@ def affine_form(f):
         return None if r is None else AffineForm(end[0], "equal", lin=r)
     deg = _degenerate_form(f)
     if deg is not None:
-        c, (u0, u1) = deg
+        c, (u0, u1) = deg  # u is (1, u1) or (0, 1)
         if u0.is_zero():
-            return AffineForm(c, "ones", unit=u1)
+            return AffineForm(c, "ones")
         if u1.is_zero():
-            return AffineForm(c, "zeros", unit=u0)
-        r = _i_power(u1 / u0)
-        return None if r is None else AffineForm(c, None, lin=r, unit=u0)
+            return AffineForm(c, "zeros")
+        r = _i_power(u1)
+        return None if r is None else AffineForm(c, None, lin=r)
     evens = {f[k] for k in range(0, f.arity + 1, 2)}
     odds = {f[k] for k in range(1, f.arity + 1, 2)}
     if len(evens) == 1 and len(odds) == 1:

@@ -27,7 +27,7 @@ class ArityError(ValueError):
 
 
 class SymmetricSignature:
-    __slots__ = ("entries", "_zhat", "_dec")
+    __slots__ = ("entries", "_zhat", "_dec", "_hash")
 
     def __init__(self, entries):
         es = tuple(AN(e) for e in entries)
@@ -36,6 +36,7 @@ class SymmetricSignature:
         self.entries = es
         self._zhat = None
         self._dec = None
+        self._hash = None
 
     @property
     def arity(self):
@@ -54,7 +55,9 @@ class SymmetricSignature:
         return isinstance(other, SymmetricSignature) and self.entries == other.entries
 
     def __hash__(self):
-        return hash(self.entries)
+        if self._hash is None:
+            self._hash = hash(self.entries)
+        return self._hash
 
     def __repr__(self):
         return "Sig[%s]" % ", ".join(str(e) for e in self.entries)

@@ -13,8 +13,8 @@ Five solver families live here:
   there and is left out of the matrix.  The sign every matching term
   shares is read off one perfect matching, found by Edmonds' blossom
   search;
-* ``product_eval``: product-type grids, by propagating the at-most-two
-  consistent patterns per constraint component;
+* ``product_eval``: product-type grids, by the at-most-two consistent
+  patterns per linked component, summed once per distinct census;
 * ``affine_eval``: affine grids, by Gauss-sum variable elimination over F_2
   linear constraints and a quadratic exponent mod 4 with even cross terms
   (both fold each distinct signature's ``classify`` form);
@@ -391,49 +391,58 @@ def _forms(recognise, grid, kind):
     return forms
 
 
+def _scaled(grid, scalar_of):
+    """The grid's scalar times scalar_of(f) ** uses, for each distinct
+    signature f and the number of vertices that carry it."""
+    total = grid.scalar
+    for f, uses in Counter(v.sig for v in grid.vertices.values()).items():
+        total = total * scalar_of(f) ** uses
+    return total
+
+
 def product_eval(grid):
-    """Exact Holant of a grid whose signatures are all product-type."""
+    """Exact Holant of a grid whose signatures are all product-type.
+
+    Links and disequalities join edges into components of one value up to
+    a parity; a component's census counts the weights of each signature at
+    parity 0 and 1, and each distinct census sums its two patterns once,
+    raised to the number of components that share it."""
     if grid.dangling:
         raise StructureError("product_eval needs a closed grid")
     forms = _forms(product_form, grid, "product-type")
-    n_edges = len(grid.edges)
+    if None in forms.values():
+        return ZERO
     edge_of = grid.edge_index()
     uf = _DisjointSet()
-    slot_w = [[ONE, ONE] for _ in range(n_edges)]  # weights per edge value
-    scalar = grid.scalar
-    for vid in sorted(grid.vertices, key=repr):
-        v = grid.vertices[vid]
+    weighted = []  # (edge, signature) per half-edge that carries (w0, w1)
+    for v in grid.vertices.values():
         form = forms[v.sig]
-        if form is None:
-            return ZERO
-        scalar = scalar * form.scalar
-        weighted = v.rotation  # the edges that carry (w0, w1)
-        if form.link is not None:
-            e0 = edge_of[v.rotation[0]]
-            for h in v.rotation[1:]:
-                if not uf.union(e0, edge_of[h], form.link):
-                    return ZERO
-            # all edges of a generalized equality carry one value, so its
-            # weights sit on its first edge; a disequality's are (1, 1)
-            weighted = v.rotation[:1] if form.link == 0 else ()
-        for h in weighted:
-            w = slot_w[edge_of[h]]
-            w[0], w[1] = w[0] * form.w0, w[1] * form.w1
-    comp_edges = {}
-    for e in range(n_edges):
+        if form.link is None:
+            weighted += [(edge_of[h], v.sig) for h in v.rotation]
+            continue
+        e0 = edge_of[v.rotation[0]]
+        for h in v.rotation[1:]:
+            if not uf.union(e0, edge_of[h], form.link):
+                return ZERO
+        if form.link == 0:  # all its edges carry one value, weighed once
+            weighted.append((e0, v.sig))
+    census = {uf.find(e): Counter() for e in range(len(grid.edges))}
+    for e, f in weighted:
         root, off = uf.locate(e)
-        comp_edges.setdefault(root, []).append((e, off))
-    total = scalar
-    for root, members in sorted(comp_edges.items()):
+        census[root][f, off] += 1
+    total = _scaled(grid, lambda f: forms[f].scalar)
+    for key, count in Counter(frozenset(c.items())
+                              for c in census.values()).items():
         val = ZERO
         for bit in (0, 1):
-            w = ONE
-            for (e, off) in members:
-                w = w * slot_w[e][bit ^ off]
-            val = val + w
+            term = ONE
+            for (f, off), n in key:
+                form = forms[f]
+                term = term * (form.w1 if bit ^ off else form.w0) ** n
+            val = val + term
         if val.is_zero():
             return ZERO
-        total = total * val
+        total = total * val ** count
     return total
 
 
@@ -503,7 +512,7 @@ class _Mod4Form:
 
 def _fold_affine(form, slots, mod4, constraints):
     """Add one vertex's AffineForm over its slot variables to the exponent
-    and the F_2 constraints; return the vertex's scalar factor."""
+    and the F_2 constraints."""
     support = form.support
     if support in ("zeros", "ones"):
         for x in slots:
@@ -523,25 +532,23 @@ def _fold_affine(form, slots, mod4, constraints):
     if form.parity:
         mod4.add_parity(slots, form.parity)
     mod4.add_const(form.const)
-    return form.scalar * form.unit ** len(slots)
 
 
 def affine_eval(grid):
-    """Exact Holant of a grid whose signatures are all affine."""
+    """Exact Holant of a grid whose signatures are all affine.  Each
+    distinct signature's scalar is raised to its number of vertices, and
+    each factor of the Gauss sums to its count, once."""
     if grid.dangling:
         raise StructureError("affine_eval needs a closed grid")
     forms = _forms(affine_form, grid, "affine")
+    if None in forms.values():
+        return ZERO
     edge_of = grid.edge_index()
     form = _Mod4Form()
     constraints = []
-    scalar = grid.scalar
-    for vid in sorted(grid.vertices, key=repr):
-        v = grid.vertices[vid]
-        vform = forms[v.sig]
-        if vform is None:
-            return ZERO
-        slots = [edge_of[h] for h in v.rotation]
-        scalar = scalar * _fold_affine(vform, slots, form, constraints)
+    for v in grid.vertices.values():
+        _fold_affine(forms[v.sig], [edge_of[h] for h in v.rotation], form,
+                     constraints)
     eliminated = set()
     pending = [(set(vs), bit) for (vs, bit) in constraints]
     while pending:
@@ -562,7 +569,7 @@ def affine_eval(grid):
             rewritten.append((ws, b2))
         pending = rewritten
     active = set(range(len(grid.edges))) - eliminated
-    total = scalar
+    factors = [0, 0, 0]  # the counts of 2, sqrt2 * zeta and sqrt2 * zeta^7
     while active:
         t = min(active)
         active.remove(t)
@@ -570,7 +577,7 @@ def affine_eval(grid):
         live = [x for x in partners if x in active]
         assert len(live) == len(partners)
         if c % 2 == 0:
-            total = total * AN(2)
+            factors[0] += 1
             rhs = 1 if c % 4 == 2 else 0
             if not live:
                 if rhs:
@@ -581,12 +588,15 @@ def affine_eval(grid):
             form.substitute(pivot, rest, rhs)
             active.remove(pivot)
         elif c % 4 == 1:
-            total = total * SQRT2 * ZETA
+            factors[1] += 1
             form.add_parity(live, 3)
         else:
-            total = total * SQRT2 * (ZETA ** 7)
+            factors[2] += 1
             form.add_parity(live, 1)
     assert not form.lin and not any(form.adj.values())
+    total = _scaled(grid, lambda f: forms[f].scalar)
+    for x, n in zip((AN(2), SQRT2 * ZETA, SQRT2 * ZETA ** 7), factors):
+        total = total * x ** n
     return total * I ** form.const
 
 
@@ -1405,16 +1415,14 @@ def hypergraph_to_json(h):
 
 def _fkt_route(grid):
     """Grids of exact-one signatures count weighted perfect matchings."""
-    scalar = grid.scalar
-    rotation = {}
-    for vid, v in grid.vertices.items():
-        if not v.sig.arity:  # a constant only scales the count
-            scalar = scalar * v.sig[0]
-            continue
-        if v.sig.support() != (1,):
-            raise ClassError("%r is not an exact-one signature" % v.sig)
-        scalar = scalar * v.sig[1]
-        rotation[vid] = list(v.rotation)
+    def weight(f):  # a constant only scales the count
+        if f.arity and f.support() != (1,):
+            raise ClassError("%r is not an exact-one signature" % f)
+        return f[min(f.arity, 1)]
+
+    scalar = _scaled(grid, weight)
+    rotation = {vid: list(v.rotation) for vid, v in grid.vertices.items()
+                if v.sig.arity}
     g = WeightedPlanarGraph(list(rotation), rotation,
                             [(a, b, ONE) for (a, b) in grid.edges])
     return scalar * fkt_count_pm(g)
