@@ -403,10 +403,9 @@ def _scaled(grid, scalar_of):
 def product_eval(grid):
     """Exact Holant of a grid whose signatures are all product-type.
 
-    Links and disequalities join edges into components of one value up to
-    a parity; a component's census counts the weights of each signature at
-    parity 0 and 1, and each distinct census sums its two patterns once,
-    raised to the number of components that share it."""
+    Linked edges carry one value up to a parity; each distinct census of a
+    component (the weights of each signature at parity 0 and 1) sums its
+    two patterns once, raised to the number of components that share it."""
     if grid.dangling:
         raise StructureError("product_eval needs a closed grid")
     forms = _forms(product_form, grid, "product-type")
@@ -426,17 +425,21 @@ def product_eval(grid):
                 return ZERO
         if form.link == 0:  # all its edges carry one value, weighed once
             weighted.append((e0, v.sig))
-    census = {uf.find(e): Counter() for e in range(len(grid.edges))}
-    for e, f in weighted:
-        root, off = uf.locate(e)
-        census[root][f, off] += 1
+    census = defaultdict(list)  # root -> [(signature, parity, count)]
+    for ((root, off), f), n in Counter((uf.locate(e), f)
+                                       for e, f in weighted).items():
+        census[root].append((f, off, n))
+    counts = Counter(map(frozenset, census.values()))
+    # each edge that is its own root heads a component; those with no
+    # weight pair are cycles of disequalities, each worth 1 + 1
+    counts[frozenset()] += sum(uf.parent.get(e, e) == e
+                               for e in range(len(grid.edges))) - len(census)
     total = _scaled(grid, lambda f: forms[f].scalar)
-    for key, count in Counter(frozenset(c.items())
-                              for c in census.values()).items():
+    for key, count in counts.items():
         val = ZERO
         for bit in (0, 1):
             term = ONE
-            for (f, off), n in key:
+            for f, off, n in key:
                 form = forms[f]
                 term = term * (form.w1 if bit ^ off else form.w0) ** n
             val = val + term

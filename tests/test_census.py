@@ -211,28 +211,59 @@ def test_product_lattices_cover_their_cases():
         assert seen[key] >= 20, (key, seen[key])
 
 
-def test_product_census_zero_component():
-    """One component whose two patterns cancel makes the Holant 0, though
-    every other component is nonzero."""
-    rnd = random.Random(0)
-    rot, edges, _ = lattice_topology(rnd, 16, 16)
+@pytest.mark.parametrize("center, around, zero", [
+    # the two patterns cancel: 1 * 1 + (-1) * 1 = 0
+    ((ONE, -ONE), [(ONE, ONE)] * 3, True),
+    # zero weights: pattern 0 meets u0 = 0 and pattern 1 meets u1 = 0
+    ((ONE, ONE), [(ZERO, ONE), (ONE, ZERO), (ONE, ONE)], True),
+    ((ONE, ONE), [(ONE, ONE)] * 3, False),
+])
+def test_product_census_zero_component(center, around, zero):
+    """A 16x16 lattice of degenerate (1, 2) signatures but for one
+    generalized equality and its three neighbours: their component alone
+    decides whether the Holant is 0."""
+    rot, edges, _ = lattice_topology(random.Random(0), 16, 16)
+    star = dict(zip([(0, 4), (0, 6), (1, 5)], around))
+    verts = []
+    for v, r in rot.items():
+        if v == (0, 5):
+            f = gen_eq(*center, len(r))
+        else:
+            f = degenerate(star.get(v, (ONE, AN(2))), len(r))
+        verts.append(Vertex(v, f, r))
+    grid = PlanarGrid(verts, edges)
+    assert product_eval(grid) == product_eval_per_edge(grid)
+    assert product_eval(grid).is_zero() == zero
+
+
+def diseq_cycle(name, length, c):
+    """A cycle of ``length`` disequalities [0, c, 0]: (vertices, edges)."""
+    verts = [Vertex((name, i), SymmetricSignature([ZERO, c, ZERO]),
+                    [(name, i, "in"), (name, i, "out")])
+             for i in range(length)]
+    edges = [((name, i, "out"), (name, (i + 1) % length, "in"))
+             for i in range(length)]
+    return verts, edges
+
+
+@pytest.mark.parametrize("lengths", [[2], [2, 4, 6], [4, 4, 4, 8]])
+def test_product_census_disequality_cycles(lengths):
+    """A component with no weight pair, a cycle of disequalities, has the
+    two patterns 1 + 1: each even cycle of [0, c, 0] adds a factor 2 c^L,
+    beside a lattice whose components all carry weights."""
+    rot, edges, _ = lattice_topology(random.Random(1), 16, 16)
     verts = [Vertex(v, degenerate((ONE, AN(2)), len(r)), r)
              for v, r in rot.items()]
-    # a star of one equality [1, 0, 0, -1] and its three degenerate (1, 1)
-    # neighbours: the component of each edge at it sums 1 + (-1) = 0
-    star = (0, 5)
-    verts = [Vertex(v.id, gen_eq(ONE, -ONE, 3), v.rotation) if v.id == star
-             else Vertex(v.id, degenerate((ONE, ONE), len(v.rotation)),
-                         v.rotation) if v.id in ((0, 4), (0, 6), (1, 5))
-             else v for v in verts]
+    lattice = PlanarGrid(verts, edges)
+    expected = product_eval(lattice)
+    for k, length in enumerate(lengths):
+        more_verts, more_edges = diseq_cycle(("cycle", k), length, I)
+        verts += more_verts
+        edges += more_edges
+        expected = expected * 2 * I ** length
     grid = PlanarGrid(verts, edges)
-    assert product_eval_per_edge(grid) == ZERO
-    assert product_eval(grid) == ZERO
-    # with [1, 0, 0, 1] it is 2, and the value is nonzero
-    verts = [Vertex(v.id, gen_eq(ONE, ONE, 3), v.rotation) if v.id == star
-             else v for v in verts]
-    grid = PlanarGrid(verts, edges)
-    assert product_eval(grid) == product_eval_per_edge(grid) != ZERO
+    assert product_eval(grid) == product_eval_per_edge(grid) == expected
+    assert product_eval(PlanarGrid(*diseq_cycle("odd", 5, I))) == ZERO
 
 
 # ---------------------------------------------------------------------------
