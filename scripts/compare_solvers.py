@@ -1,4 +1,5 @@
-"""Race every polynomial-time solver against brute-force contraction.
+"""Race every polynomial-time solver against brute-force contraction, or
+against a closed form at sizes brute force cannot reach.
 
 Generates random in-precondition instances per solver family, checks exact
 agreement, and reports instance sizes and wall-clock totals.
@@ -26,6 +27,7 @@ from test_solvers import (
     z_side_grid, with_self_loop,
 )
 from test_weighted_graph import mixed_id_graph
+from bundled import bundled_grid
 
 
 def race(name, fast, slow, instances):
@@ -42,7 +44,7 @@ def race(name, fast, slow, instances):
         if a != b:
             mismatches += 1
     status = "ok" if mismatches == 0 else "%d MISMATCHES" % mismatches
-    print("%-12s %4d instances  fast %7.3fs  brute %7.3fs  %s"
+    print("%-12s %4d instances  fast %7.3fs  ref %7.3fs  %s"
           % (name, len(instances), t_fast, t_slow, status))
     return mismatches
 
@@ -84,6 +86,10 @@ def main():
                 [z_side_grid(with_self_loop(build_instance_biased(base + s),
                                             base + s)[0])
                  for s in range(n)])
+    # the bundled grid at k = 2..6, against its closed form
+    bad += race("eo-bundled", lambda gv: eo_geneq_eval(EOInstance(gv[0])),
+                lambda gv: gv[1],
+                [bundled_grid(2 + s % 5, base + s) for s in range(n)])
     sys.exit(1 if bad else 0)
 
 

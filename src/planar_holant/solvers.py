@@ -22,7 +22,10 @@ Five solver families live here:
 * ``eo_geneq_eval``: the pinning algorithm for weighted equalities (of
   arity gcd >= 5, or pins: arity 1 with one zero weight) mixed with
   exact-one signatures, connected by disequalities; an ``EOInstance`` reads
-  a bipartite grid, or a grid's Z images directly.
+  a bipartite grid, or a grid's Z images directly.  The local rewrites run
+  only at the vertices whose neighbourhood changed, kept in a heap; the
+  arity-2 connector rules wait until that heap is empty, and the pin step,
+  the one global search, until no rewrite fits.
 
 ``evaluate(grid, method)`` takes the route ``ROUTES[method]``; "auto" tries
 (1) product, affine, vanishing and exact-one FKT on the grid, (2) the route
@@ -33,6 +36,7 @@ is I, (4) capped brute force.
 """
 
 from collections import Counter, defaultdict
+from heapq import heappop, heappush
 from itertools import combinations, permutations
 from math import gcd, prod
 
@@ -729,6 +733,15 @@ class _EOState:
     when that end holds the single 1).  A pin is a block of degree 1 with
     one zero weight; every other block has both weights nonzero.  Every edge
     is a disequality between its two ends.
+
+    Every rule but the pin step is local, so ``todo`` is a heap of the vertex
+    ids whose neighbourhood changed since the rules last looked at them:
+    ``add_vertex``, ``add_edge`` and ``detach_edge`` push their endpoints,
+    and a state built through them starts with every vertex queued.  A
+    merge moves edges onto the kept vertex, which is queued; a rule on a
+    pair fits at both of its ends, so the far ends need not be.  A vertex
+    of degree 2 that no rule fits waits in ``links`` for the connector
+    tier, which runs only once ``todo`` is empty.
     """
 
     def __init__(self):
@@ -738,6 +751,8 @@ class _EOState:
         self.ends = {}      # eid -> [[vid, data], [vid, data]]
         self.inc = {}       # vid -> set of (eid, end index)
         self.done = {}      # resolved edges -> value of end 0
+        self.todo = []      # heap of touched vertex ids
+        self.links = []     # heap of (is exact-one, vid) of degree 2
         self.zero = False
         self._next = 0
 
@@ -754,6 +769,7 @@ class _EOState:
         self.inc[vid] = set()
         if kind == "eq":
             self.eqw[vid] = list(payload)
+        heappush(self.todo, vid)
         return vid
 
     def add_edge(self, va, da, vb, db):
@@ -761,6 +777,8 @@ class _EOState:
         self.ends[eid] = [[va, da], [vb, db]]
         self.inc[va].add((eid, 0))
         self.inc[vb].add((eid, 1))
+        heappush(self.todo, va)
+        heappush(self.todo, vb)
         return eid
 
     def drop_vertex(self, vid):
@@ -769,11 +787,10 @@ class _EOState:
         self.eqw.pop(vid, None)
 
     def detach_edge(self, eid):
-        (va, _), (vb, _) = self.ends.pop(eid)
-        if va in self.inc:
-            self.inc[va].discard((eid, 0))
-        if vb in self.inc:
-            self.inc[vb].discard((eid, 1))
+        for idx, (v, _) in enumerate(self.ends.pop(eid)):
+            if v in self.inc:
+                self.inc[v].discard((eid, idx))
+                heappush(self.todo, v)
 
     def mul(self, w):
         self.scalar = self.scalar * w
@@ -808,26 +825,28 @@ def _absorb(state, v, data, endval, requests):
     if v not in state.kind:
         return
     if state.kind[v] == "eq":
-        _collapse_eq(state, v, endval ^ data, requests)
+        requests += _collapse_eq(state, v, endval ^ data)
     elif endval == 1:
         state.mul(data)
-        _collapse_eo(state, v, requests)
+        requests += _collapse_eo(state, v)
     elif not state.inc[v]:
         state.zero = True
 
 
-def _collapse_eq(state, v, value, requests):
+def _collapse_eq(state, v, value):
+    """Fix block v to value: its requests, one per incident end."""
     state.mul(state.eqw[v][value])
-    for (eid, idx) in sorted(state.inc[v]):
-        sign = state.ends[eid][idx][1]
-        requests.append((eid, idx, value ^ sign))
+    requests = [(eid, idx, value ^ state.ends[eid][idx][1])
+                for (eid, idx) in sorted(state.inc[v])]
     state.drop_vertex(v)
+    return requests
 
 
-def _collapse_eo(state, v, requests):
-    for (eid, idx) in sorted(state.inc[v]):
-        requests.append((eid, idx, 0))
+def _collapse_eo(state, v):
+    """Drop exact-one v, whose 1 is placed: every end of it reads 0."""
+    requests = [(eid, idx, 0) for (eid, idx) in sorted(state.inc[v])]
     state.drop_vertex(v)
+    return requests
 
 
 def _merge_eq(state, keep, gone, t):
@@ -861,182 +880,152 @@ def _merge_eo(state, keep, gone, w_keep_side, w_gone_side):
     state.drop_vertex(gone)
 
 
-def _pairs_between(state):
-    """Multiplicity map (min vid, max vid) -> sorted edge ids."""
-    out = {}
-    for eid in sorted(state.ends):
-        (va, _), (vb, _) = state.ends[eid]
-        key = (min(va, vb), max(va, vb))
-        out.setdefault(key, []).append(eid)
-    return out
-
-
 def _simplify_step(state):
-    """Apply one local rewrite; True when something fired."""
-    # a block of degree 1 with a zero weight (a pin) forces its edge to the
-    # nonzero side
-    for v in sorted(state.kind):
-        if state.kind[v] == "eq" and len(state.inc[v]) == 1:
-            w0, w1 = state.eqw[v]
-            if w0.is_zero() or w1.is_zero():
-                reqs = []
-                _collapse_eq(state, v, int(w0.is_zero()), reqs)
-                _resolve(state, reqs)
+    """Apply one local rewrite; True when something fired.
+
+    Touched vertices leave ``state.todo`` in id order until a rule fires at
+    one.  The arity-2 connector rules wait until no other rule fits anywhere:
+    with a pin still pending, a same-sign block of arity 2 proves nothing.
+    """
+    todo = state.todo
+    while todo:
+        v = heappop(todo)
+        while todo and todo[0] == v:
+            heappop(todo)
+        if v in state.kind:
+            if _rewrite_at(state, v):
                 return True
-    # tiny vertices
-    for v in sorted(state.kind):
-        kind = state.kind[v]
-        deg = len(state.inc[v])
-        if kind == "eo" and deg == 0:
-            state.zero = True
+            if len(state.inc[v]) == 2:
+                heappush(state.links, (state.kind[v] == "eo", v))
+    while state.links:
+        _, v = heappop(state.links)
+        if v in state.kind and len(state.inc[v]) == 2:
+            _connect(state, v)
             return True
-        if kind == "eo" and deg == 1:
-            [(eid, idx)] = list(state.inc[v])
-            _resolve(state, [(eid, idx, 1)])
-            return True
-        if kind == "eq" and deg == 0:
-            state.mul(state.eqw[v][0] + state.eqw[v][1])
+    return False
+
+
+def _rewrite_at(state, v):
+    """Apply the first rule that fits at v: a pin, a vertex of degree 0 or 1,
+    a self-loop, a merge with a neighbour of its kind, then parallel edges
+    between a block and an exact-one.  True when one fired."""
+    kind, inc = state.kind[v], state.inc[v]
+    if kind == "eq" and len(inc) <= 1:
+        w0, w1 = state.eqw[v]
+        if not inc:
+            state.mul(w0 + w1)
             state.drop_vertex(v)
             return True
-    # self-loops
-    for eid in sorted(state.ends):
-        (va, da), (vb, db) = state.ends[eid]
-        if va != vb:
-            continue
-        if state.kind[va] == "eq":
-            if da == db:
-                state.zero = True
-            else:
-                state.detach_edge(eid)
+        if w0.is_zero() or w1.is_zero():
+            # a pin forces its edge to the nonzero side
+            _resolve(state, _collapse_eq(state, v, int(w0.is_zero())))
             return True
-        # an exact-one self-loop holds its 1; every other end becomes 0
-        state.mul(da + db)
-        state.detach_edge(eid)
-        reqs = []
-        _collapse_eo(state, va, reqs)
-        _resolve(state, reqs)
+    if kind == "eo" and len(inc) <= 1:
+        if inc:
+            [(eid, idx)] = inc
+            _resolve(state, [(eid, idx, 1)])
+        else:
+            state.zero = True
         return True
-    # edges between two blocks: merge
-    pairs = _pairs_between(state)
-    for (va, vb), eids in sorted(pairs.items()):
-        if state.kind[va] == "eq" and state.kind[vb] == "eq":
-            eid = eids[0]
-            (xa, da), (xb, db) = state.ends[eid]
-            t = 1 ^ da ^ db
-            keep, gone = (xa, xb)
+    by = defaultdict(list)  # neighbour -> v's ends (eid, idx) toward it
+    for (eid, idx) in sorted(inc):
+        by[state.ends[eid][1 - idx][0]].append((eid, idx))
+    if v in by:  # a self-loop
+        eid = by[v][0][0]
+        (_, da), (_, db) = state.ends[eid]
+        if kind == "eo":
+            # an exact-one self-loop holds its 1; every other end becomes 0
+            state.mul(da + db)
             state.detach_edge(eid)
-            _merge_eq(state, keep, gone, t)
-            return True
-    # multiple edges between two exact-ones, then single-edge merging
-    for (va, vb), eids in sorted(pairs.items()):
-        if state.kind[va] == "eo" and state.kind[vb] == "eo":
-            if len(eids) >= 3:
-                state.zero = True
-                return True
-            if len(eids) == 2:
-                e1, e2 = eids
-                l1 = _end_weight(state, e1, va)
-                l2 = _end_weight(state, e2, va)
-                m1 = _end_weight(state, e1, vb)
-                m2 = _end_weight(state, e2, vb)
-                state.mul(l1 * m2 + l2 * m1)
-                state.detach_edge(e1)
-                state.detach_edge(e2)
-                reqs = []
-                _collapse_eo(state, va, reqs)
-                _collapse_eo(state, vb, reqs)
-                _resolve(state, reqs)
-                return True
-            eid = eids[0]
-            lk = _end_weight(state, eid, va)
-            lg = _end_weight(state, eid, vb)
+            _resolve(state, _collapse_eo(state, v))
+        elif da == db:
+            state.zero = True
+        else:
             state.detach_edge(eid)
-            _merge_eo(state, va, vb, w_keep_side=lg, w_gone_side=lk)
+        return True
+    same = [u for u in sorted(by) if state.kind[u] == kind]
+    if same and kind == "eq":
+        eid = by[same[0]][0][0]
+        (keep, da), (gone, db) = state.ends[eid]
+        state.detach_edge(eid)
+        _merge_eq(state, keep, gone, 1 ^ da ^ db)
+        return True
+    if same:  # edges between two exact-ones
+        u = same[0]
+        ends = [(state.ends[eid][idx][1], state.ends[eid][1 - idx][1])
+                for (eid, idx) in by[u]]
+        if len(ends) >= 3:
+            state.zero = True
             return True
-    # parallel edges between a block and an exact-one
-    for (va, vb), eids in sorted(pairs.items()):
-        kinds = (state.kind[va], state.kind[vb])
-        if len(eids) < 2 or "eq" not in kinds or "eo" not in kinds:
+        for (eid, _) in by[u]:
+            state.detach_edge(eid)
+        if len(ends) == 2:
+            (l1, m1), (l2, m2) = ends
+            state.mul(l1 * m2 + l2 * m1)
+            _resolve(state, _collapse_eo(state, min(v, u))
+                     + _collapse_eo(state, max(v, u)))
+        else:
+            # one edge: the 1 sits on exactly one side of it
+            [(lv, lu)] = ends
+            if v < u:
+                _merge_eo(state, v, u, w_keep_side=lu, w_gone_side=lv)
+            else:
+                _merge_eo(state, u, v, w_keep_side=lv, w_gone_side=lu)
+        return True
+    for u in sorted(by):
+        if len(by[u]) < 2:
             continue
-        blk = va if state.kind[va] == "eq" else vb
-        eo = vb if blk == va else va
-        signs = [_end_weight(state, eid, blk) for eid in eids]
+        # parallel edges between a block and an exact-one: (sign, weight)
+        ends = [(state.ends[eid][idx][1], state.ends[eid][1 - idx][1])
+                for (eid, idx) in by[u]]
+        blk, eo = (v, u) if kind == "eq" else (u, v)
+        if kind == "eo":
+            ends = [(s, lam) for (lam, s) in ends]
+        signs = [s for (s, _) in ends]
         # the first sign that a later edge repeats
         s = next((x for i, x in enumerate(signs) if x in signs[i + 1:]), None)
         if s is not None:
-            reqs = []
-            _collapse_eq(state, blk, 1 - s, reqs)
-            _resolve(state, reqs)
+            _resolve(state, _collapse_eq(state, blk, 1 - s))
             return True
         # exactly two edges with opposite signs: the exact-one is satisfied
-        e1, e2 = eids[0], eids[1]
-        s1 = _end_weight(state, e1, blk)
-        lam = {s1: _end_weight(state, e1, eo),
-               1 - s1: _end_weight(state, e2, eo)}
+        lam = dict(ends)
         w0, w1 = state.eqw[blk]
         state.eqw[blk] = [w0 * lam[0], w1 * lam[1]]
-        state.detach_edge(e1)
-        state.detach_edge(e2)
-        reqs = []
-        _collapse_eo(state, eo, reqs)
-        _resolve(state, reqs)
-        return True
-    # arity-2 blocks act as weighted disequality connectors; the rules above
-    # leave no self-loop, no edge between two blocks or two exact-ones and
-    # no parallel edges, so both neighbours are distinct exact-ones
-    for v in sorted(state.kind):
-        if state.kind[v] != "eq" or len(state.inc[v]) != 2:
-            continue
-        (e1, i1), (e2, i2) = sorted(state.inc[v])
-        d1 = state.ends[e1][i1][1]
-        d2 = state.ends[e2][i2][1]
-        u = state.ends[e1][1 - i1][0]
-        w = state.ends[e2][1 - i2][0]
-        assert u != w and state.kind[u] == state.kind[w] == "eo"
-        if d1 == d2:
-            raise PinSearchError(
-                "same-sign arity-2 block: equality arities violate gcd >= 5")
-        w0, w1 = state.eqw[v]
-        lam_u = _end_weight(state, e1, u)
-        lam_w = _end_weight(state, e2, w)
-        state.detach_edge(e1)
-        state.detach_edge(e2)
-        state.drop_vertex(v)
-        # u's surviving ends: the 1 sits on u, block value = 1 xor d1
-        # w's surviving ends: the 1 sits on w, block value = d1
-        _merge_eo(state, u, w,
-                  w_keep_side=lam_w * (w1 if d1 == 0 else w0),
-                  w_gone_side=lam_u * (w0 if d1 == 0 else w1))
-        return True
-    # an arity-2 exact-one between two blocks is a disequality between them:
-    # its 1 sits on the end at b1 exactly when b1's value is d1, so its end
-    # weights move onto b1, and the block rule above merges b1 and b2 next
-    for v in sorted(state.kind):
-        if state.kind[v] != "eo" or len(state.inc[v]) != 2:
-            continue
-        (e1, i1), (e2, i2) = sorted(state.inc[v])
-        l1 = state.ends[e1][i1][1]
-        l2 = state.ends[e2][i2][1]
-        b1, d1 = state.ends[e1][1 - i1]
-        b2, d2 = state.ends[e2][1 - i2]
-        assert b1 != b2 and state.kind[b1] == state.kind[b2] == "eq"
-        w0, w1 = state.eqw[b1]
-        state.eqw[b1] = [w0 * (l1 if d1 == 0 else l2),
-                         w1 * (l2 if d1 == 0 else l1)]
-        state.detach_edge(e1)
-        state.detach_edge(e2)
-        state.drop_vertex(v)
-        state.add_edge(b1, d1, b2, d2)
+        for (eid, _) in by[u]:
+            state.detach_edge(eid)
+        _resolve(state, _collapse_eo(state, eo))
         return True
     return False
 
 
-def _end_weight(state, eid, vid):
-    """The end payload (weight or sign) that vertex vid holds on edge eid."""
-    for (v, d) in state.ends[eid]:
-        if v == vid:
-            return d
-    raise AssertionError
+def _connect(state, v):
+    """The connector tier at v, of arity 2: with no other rule left, its two
+    neighbours are distinct and of the other kind.  A block joins two
+    exact-ones into one; an exact-one becomes an edge between two blocks,
+    which the merge rule folds next."""
+    kind = state.kind[v]
+    (e1, i1), (e2, i2) = sorted(state.inc[v])
+    (a, da), (b, db) = state.ends[e1][1 - i1], state.ends[e2][1 - i2]
+    x1, x2 = state.ends[e1][i1][1], state.ends[e2][i2][1]
+    assert a != b and state.kind[a] == state.kind[b] != kind
+    if kind == "eq" and x1 == x2:
+        raise PinSearchError(
+            "same-sign arity-2 block: equality arities violate gcd >= 5")
+    w0, w1 = state.eqw[v if kind == "eq" else a]
+    state.detach_edge(e1)
+    state.detach_edge(e2)
+    state.drop_vertex(v)
+    if kind == "eq":
+        # a's surviving ends: the 1 sits on a, block value = 1 xor x1;
+        # b's surviving ends: the 1 sits on b, block value = x1
+        _merge_eo(state, a, b, w_keep_side=db * (w1 if x1 == 0 else w0),
+                  w_gone_side=da * (w0 if x1 == 0 else w1))
+    else:
+        # the 1 sits on the end at a exactly when a's value is da, so the
+        # end weights move onto a
+        state.eqw[a] = [w0 * (x1 if da == 0 else x2),
+                        w1 * (x2 if da == 0 else x1)]
+        state.add_edge(a, da, b, db)
 
 
 def _pin_step(state):
