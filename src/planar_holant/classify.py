@@ -36,7 +36,6 @@ from .sigcalc import (
     H2,
     Z,
     Z_INV,
-    _degenerate_form,
     diag,
     exact_one,
     identity2,
@@ -85,7 +84,7 @@ def _is_diseq(f):
 
 
 def is_degenerate(f):
-    return f.is_zero() or _degenerate_form(f) is not None
+    return f.is_zero() or f.degenerate_form() is not None
 
 
 # -- base class memberships --------------------------------------------------
@@ -109,7 +108,7 @@ def product_form(f):
     end = _geneq_weights(f)
     if end is not None:
         return ProductForm(ONE, 0, end[0], end[1])
-    deg = _degenerate_form(f)
+    deg = f.degenerate_form()
     if deg is not None:
         c, (u0, u1) = deg
         return ProductForm(c, None, u0, u1)
@@ -153,7 +152,7 @@ def affine_form(f):
     if end is not None:
         r = _i_power(end[1] / end[0])
         return None if r is None else AffineForm(end[0], "equal", lin=r)
-    deg = _degenerate_form(f)
+    deg = f.degenerate_form()
     if deg is not None:
         c, (u0, u1) = deg  # u is (1, u1) or (0, 1)
         if u0.is_zero():
@@ -676,22 +675,16 @@ def dichotomy_plholant_set(F):
 def _plholant_verdict(F):
     # a nonzero constant (arity 0) only scales the Holant
     sigs = [f for f in F if f.arity and not f.is_zero()]
-    # one degeneracy test per member, read from the decomposition it keeps
-    # at arity >= 3; degs holds (f, u) for f = c * u^{tensor n}
+    # degs holds (f, u) for f = c * u^{tensor n}
     nd3, binaries, degs = [], [], []
     for f in sigs:
-        if f.arity >= 3:
-            d = f.decomposition()
-            if d.kind == "degenerate":
-                degs.append((f, d.u))
-            else:
-                nd3.append(f)
+        form = f.degenerate_form()
+        if form is not None:
+            degs.append((f, form[1]))
+        elif f.arity >= 3:
+            nd3.append(f)
         else:
-            form = _degenerate_form(f)
-            if form is None:
-                binaries.append(f)
-            else:
-                degs.append((f, form[1]))
+            binaries.append(f)
     if not nd3:
         return SetVerdict("plholant", True,
                           case="all non-degenerate arity <= 2 (case 1)")

@@ -3,8 +3,10 @@
 A symmetric signature of arity n is the list [f_0, ..., f_n] of values by
 input Hamming weight; it carries its Z image (Z^-1)^{tensor n} f, made on
 first use by ``zhat()``, whose ``support()`` (nonzero indices) decides the
-Z-side classes, and in the same way its order-2 tensor decomposition, made
-on first use by ``decomposition()``, from which the transformable families
+Z-side classes, and in the same way its degenerate form c * u^{tensor n},
+made on first use by ``degenerate_form()`` and read by every degeneracy
+test and class recogniser, and its order-2 tensor decomposition, made on
+first use by ``decomposition()``, from which the transformable families
 are read.  This module provides the derivative/integral calculus,
 holographic transforms T^{tensor n} in O(n^2) by Taylor shifts, recurrences
 from the closed-form kernel of the rows (f_k, f_{k+1}, f_{k+2}), two-term
@@ -27,7 +29,7 @@ class ArityError(ValueError):
 
 
 class SymmetricSignature:
-    __slots__ = ("entries", "_zhat", "_dec", "_hash")
+    __slots__ = ("entries", "_zhat", "_deg", "_dec", "_hash")
 
     def __init__(self, entries):
         es = tuple(AN(e) for e in entries)
@@ -35,6 +37,7 @@ class SymmetricSignature:
             raise ArityError("a signature needs at least one entry")
         self.entries = es
         self._zhat = None
+        self._deg = False  # not yet computed; None when not degenerate
         self._dec = None
         self._hash = None
 
@@ -90,6 +93,13 @@ class SymmetricSignature:
         if self._zhat is None:
             self._zhat = transform(Z_INV, self)
         return self._zhat
+
+    def degenerate_form(self):
+        """The degenerate form ``_degenerate_form(self)``, computed on first
+        use and kept with the signature."""
+        if self._deg is False:
+            self._deg = _degenerate_form(self)
+        return self._deg
 
     def decomposition(self):
         """The order-2 tensor decomposition ``tensor_decompose(self)``, computed
@@ -607,7 +617,7 @@ def tensor_decompose(f):
     n = f.arity
     if f.is_zero():
         return TensorDecomposition("zero", n)
-    deg = _degenerate_form(f)
+    deg = f.degenerate_form()
     if deg is not None:
         return TensorDecomposition("degenerate", n, u=deg[1], c=deg[0])
     basis = _null_space(f)

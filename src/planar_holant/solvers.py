@@ -15,9 +15,10 @@ Five solver families live here:
   search;
 * ``product_eval``: product-type grids, by the at-most-two consistent
   patterns per linked component, summed once per distinct census;
-* ``affine_eval``: affine grids, by Gauss-sum variable elimination over F_2
-  linear constraints and a quadratic exponent mod 4 with even cross terms
-  (both fold each distinct signature's ``classify`` form);
+* ``affine_eval``: affine grids, by Gauss-sum variable elimination of one
+  quadratic exponent mod 4 with even cross terms, folded from each distinct
+  signature's ``classify`` form; each support constraint is one more
+  summed variable, so a single loop does all the F_2 elimination;
 * ``vanishing_eval``: grids built from one vanishing class are exactly 0;
 * ``eo_geneq_eval``: the pinning algorithm for weighted equalities (of
   arity gcd >= 5, or pins: arity 1 with one zero weight) mixed with
@@ -517,34 +518,42 @@ class _Mod4Form:
                 self.add_cross(v, other, 2)
 
 
-def _fold_affine(form, slots, mod4, constraints):
-    """Add one vertex's AffineForm over its slot variables to the exponent
-    and the F_2 constraints."""
+def _fold_affine(form, slots, mod4, y):
+    """Add one vertex's AffineForm over its slot variables to the exponent.
+    Each support constraint X = b becomes a summed variable y, y - 1, ...
+    with the term 2 y (X + b), since sum_y i^(2y (X + b)) = 2 [X = b];
+    return the next unused constraint variable."""
     support = form.support
     if support in ("zeros", "ones"):
-        for x in slots:
-            constraints.append(({x}, int(support == "ones")))
+        constraints = [((x,), support == "ones") for x in slots]
     elif support == "equal":
-        pivot = slots[0]
-        for x in slots[1:]:
-            constraints.append(({pivot, x} if x != pivot else set(), 0))
-    elif support is not None:
-        parity = set()
-        for x in slots:
-            parity ^= {x}
-        constraints.append((parity, int(support == "odd")))
+        constraints = [((slots[0], x), 0) for x in slots[1:]]
+    else:
+        constraints = [(slots, support == "odd")] if support else []
+    for xs, bit in constraints:
+        mod4.add_lin(y, 2 * bit)
+        for x in xs:
+            mod4.add_cross(y, x, 2)
+        y -= 1
     if form.lin:
         for x in (slots[:1] if support == "equal" else slots):
             mod4.add_lin(x, form.lin)
     if form.parity:
         mod4.add_parity(slots, form.parity)
     mod4.add_const(form.const)
+    return y
 
 
 def affine_eval(grid):
     """Exact Holant of a grid whose signatures are all affine.  Each
     distinct signature's scalar is raised to its number of vertices, and
-    each factor of the Gauss sums to its count, once."""
+    each factor of the Gauss sums to its count, once.
+
+    The edges are the variables 0, 1, ... and the support constraints the
+    variables -1, -2, ..., all summed out in one loop in increasing order.
+    Summing t with an even linear coefficient c leaves the F_2 constraint
+    that its partners' sum is c/2, solved by substituting the least
+    partner, which is above t and is then skipped."""
     if grid.dangling:
         raise StructureError("affine_eval needs a closed grid")
     forms = _forms(affine_form, grid, "affine")
@@ -552,54 +561,33 @@ def affine_eval(grid):
         return ZERO
     edge_of = grid.edge_index()
     form = _Mod4Form()
-    constraints = []
+    y = -1
     for v in grid.vertices.values():
-        _fold_affine(forms[v.sig], [edge_of[h] for h in v.rotation], form,
-                     constraints)
-    eliminated = set()
-    pending = [(set(vs), bit) for (vs, bit) in constraints]
-    while pending:
-        vs, bit = pending.pop()
-        if not vs:
-            if bit:
-                return ZERO
+        y = _fold_affine(forms[v.sig], [edge_of[h] for h in v.rotation], form,
+                         y)
+    substituted = set()
+    # the counts of 2, sqrt2 * zeta and sqrt2 * zeta^7; each of the
+    # -(y + 1) support constraints takes one 2 back
+    factors = [y + 1, 0, 0]
+    for t in range(y + 1, len(grid.edges)):
+        if t in substituted:
             continue
-        pivot = min(vs)
-        rest = sorted(vs - {pivot})
-        form.substitute(pivot, rest, bit)
-        eliminated.add(pivot)
-        rewritten = []
-        for (ws, b2) in pending:
-            if pivot in ws:
-                ws = (ws - {pivot}) ^ set(rest)
-                b2 ^= bit
-            rewritten.append((ws, b2))
-        pending = rewritten
-    active = set(range(len(grid.edges))) - eliminated
-    factors = [0, 0, 0]  # the counts of 2, sqrt2 * zeta and sqrt2 * zeta^7
-    while active:
-        t = min(active)
-        active.remove(t)
         c, partners = form.pop_var(t)
-        live = [x for x in partners if x in active]
-        assert len(live) == len(partners)
-        if c % 2 == 0:
-            factors[0] += 1
-            rhs = 1 if c % 4 == 2 else 0
-            if not live:
-                if rhs:
-                    return ZERO
-                continue
-            pivot = min(live)
-            rest = sorted(set(live) - {pivot})
-            form.substitute(pivot, rest, rhs)
-            active.remove(pivot)
-        elif c % 4 == 1:
+        if c == 1:
             factors[1] += 1
-            form.add_parity(live, 3)
-        else:
+            form.add_parity(partners, 3)
+        elif c == 3:
             factors[2] += 1
-            form.add_parity(live, 1)
+            form.add_parity(partners, 1)
+        else:
+            factors[0] += 1
+            if partners:
+                pivot = min(partners)
+                partners.remove(pivot)
+                form.substitute(pivot, partners, c // 2)
+                substituted.add(pivot)
+            elif c:
+                return ZERO
     assert not form.lin and not any(form.adj.values())
     total = _scaled(grid, lambda f: forms[f].scalar)
     for x, n in zip((AN(2), SQRT2 * ZETA, SQRT2 * ZETA ** 7), factors):

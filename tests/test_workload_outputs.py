@@ -1,0 +1,56 @@
+"""The benchmark's own output checks, run on its ops in tier-1.
+
+``perfbench/run.py`` times each op and then checks its output against the
+op's reference; a run whose check fails still exits 0.  Here every op of
+the first three cycles of each workload must pass that check.
+"""
+
+import os
+import sys
+
+import pytest
+
+from planar_holant import sigcalc
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "perfbench")
+
+
+def workloads_module():
+    sys.path.insert(0, BENCH)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(BENCH)
+    return workloads
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+@pytest.mark.parametrize("workload", ["pm-lattice", "classify-sets",
+                                      "cli-grids"])
+def test_ops_pass_their_benchmark_check(workload, seed, tmp_path):
+    workloads = workloads_module()
+    for cycle in range(3):
+        for op in workloads.make_cycle(workload, seed, cycle, str(tmp_path)):
+            assert op.check(op.call()), (op.kind, op.inputs)
+
+
+@pytest.mark.parametrize("workload", ["classify-sets", "cli-grids"])
+def test_degenerate_form_runs_once_per_signature(workload, tmp_path):
+    # every call of the function is seen, whichever module's name it is
+    # called through; the signatures are kept, so that no id is reused
+    code, seen = sigcalc._degenerate_form.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            seen.append(frame.f_locals["f"])
+
+    ops = workloads_module().make_cycle(workload, 1, 0, str(tmp_path))
+    sys.setprofile(profile)
+    try:
+        for op in ops:
+            op.call()
+    finally:
+        sys.setprofile(None)
+    assert seen
+    assert len({id(f) for f in seen}) == len(seen)
