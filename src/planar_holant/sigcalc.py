@@ -1,18 +1,18 @@
 """Symmetric-signature calculus.
 
 A symmetric signature of arity n is the list [f_0, ..., f_n] of values by
-input Hamming weight; it carries its Z image (Z^-1)^{tensor n} f, made on
-first use by ``zhat()``, whose ``support()`` (nonzero indices) decides the
-Z-side classes, and in the same way its degenerate form c * u^{tensor n},
-made on first use by ``degenerate_form()`` and read by every degeneracy
-test and class recogniser, and its order-2 tensor decomposition, made on
-first use by ``decomposition()``, from which the transformable families
-are read.  This module provides the derivative/integral calculus,
-holographic transforms T^{tensor n} in O(n^2) by Taylor shifts, recurrences
-from the closed-form kernel of the rows (f_k, f_{k+1}, f_{k+2}), two-term
-tensor decompositions read in closed form from its first triple, vanishing
-degrees and arity-4 signature matrices.  Transforms, kernels and degeneracy
-tests run on integer numerators over one denominator.
+input Hamming weight.  Three derived objects are made on first use and
+kept with it: its Z image (Z^-1)^{tensor n} f (``zhat()``), whose
+``support()`` (nonzero indices) decides the Z-side classes; its degenerate
+form c * u^{tensor n} (``degenerate_form()``), which every degeneracy test
+and class recogniser reads; and its order-2 tensor decomposition
+(``decomposition()``), from which the transformable families are read.
+This module provides the derivative/integral calculus, holographic
+transforms T^{tensor n} in O(n^2) by Taylor shifts, recurrences from the
+closed-form kernel of the rows (f_k, f_{k+1}, f_{k+2}), two-term tensor
+decompositions read in closed form from its first triple, vanishing degrees
+and arity-4 signature matrices.  Transforms, kernels and degeneracy tests
+run on integer numerators over one denominator.
 """
 
 from fractions import Fraction
