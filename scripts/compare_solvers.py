@@ -13,7 +13,8 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
 
 from planar_holant.solvers import (
     fkt_count_pm, product_eval, affine_eval, vanishing_eval,
@@ -28,6 +29,21 @@ from test_solvers import (
 )
 from test_weighted_graph import mixed_id_graph
 from bundled import bundled_grid
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+try:
+    import gen  # the benchmark's seeded instance generators
+finally:
+    sys.path.remove(str(ROOT / "perfbench"))
+
+
+def case7_draw(seed):
+    """(Z-side grid, EO-side grid) of one ``gen.case7_grid`` draw, with
+    the equality palette the benchmark's case-7 ops use."""
+    rnd = random.Random("case7-%d" % seed)
+    eq_pal = [(gen.small_weight(rnd), gen.small_weight(rnd))
+              for _ in range(2)]
+    return gen.case7_grid(rnd, eq_pal)
 
 
 def race(name, fast, slow, instances):
@@ -90,6 +106,10 @@ def main():
     bad += race("eo-bundled", lambda gv: eo_geneq_eval(EOInstance(gv[0])),
                 lambda gv: gv[1],
                 [bundled_grid(2 + s % 5, base + s) for s in range(n)])
+    # case-7 cycles of weighted equalities with pins and exact-ones
+    bad += race("eo-case7", lambda ze: evaluate(ze[0], method="eo"),
+                lambda ze: ze[1].holant(cap=10 ** 6),
+                [case7_draw(base + s) for s in range(n)])
     sys.exit(1 if bad else 0)
 
 

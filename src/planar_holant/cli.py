@@ -3,9 +3,10 @@
 Subcommands: classify, eval, gate, transform, pm, hpm, verify.  Input is JSON
 (a file path or "-" for standard input), output is a JSON report on standard
 output with every scalar serialized through the algebra grammar.  Exit codes:
-0 on success, 1 when a value is out of reach (brute-force cap exceeded, or a
-hard verdict with no fallback), 2 on parse or validation errors, 141 when
-the reader of standard output closed it before the report was written.
+0 on success, 1 when a value is out of reach (brute-force cap exceeded, a
+hard verdict with no fallback, or a pin search that found no pin), 2 on
+parse or validation errors, 141 when the reader of standard output closed
+it before the report was written.
 """
 
 import argparse
@@ -36,7 +37,7 @@ from .classify import (
 )
 from .solvers import (
     fkt_count_pm, weighted_graph_from_json, EOInstance, eo_geneq_eval,
-    hypergraph_from_json, hypergraph_pm, evaluate, ROUTES,
+    hypergraph_from_json, hypergraph_pm, evaluate, PinSearchError, ROUTES,
 )
 
 EXIT_OK = 0
@@ -601,10 +602,11 @@ def run(argv=None):
             args.cap = edge_cap(args.cap)
         # cmd_<subcommand> is looked up per call, so a replaced one runs
         report, code = globals()["cmd_" + args.subcommand](args)
-    except (TooLarge, ValueError, KeyError, TypeError, OSError,
-            ArithmeticError) as exc:
+    except (TooLarge, PinSearchError, ValueError, KeyError, TypeError,
+            OSError, ArithmeticError) as exc:
         report = {"error": type(exc).__name__, "message": str(exc)}
-        code = EXIT_UNAVAILABLE if isinstance(exc, TooLarge) else EXIT_INVALID
+        code = (EXIT_UNAVAILABLE if isinstance(exc, (TooLarge, PinSearchError))
+                else EXIT_INVALID)
     try:
         emit(report)
     except BrokenPipeError:

@@ -24,9 +24,9 @@ Five solver families live here:
   arity gcd >= 5, or pins: arity 1 with one zero weight) mixed with
   exact-one signatures, connected by disequalities; an ``EOInstance`` reads
   a bipartite grid, or a grid's Z images directly.  The local rewrites run
-  only at the vertices whose neighbourhood changed, kept in a heap; the
-  arity-2 connector rules wait until that heap is empty, and the pin step,
-  the one global search, until no rewrite fits.
+  only at the vertices whose neighbourhood changed, kept in a heap, and
+  each fires wherever it fits; the pin step, the one global search, waits
+  until no rewrite fits.
 
 ``evaluate(grid, method)`` takes the route ``ROUTES[method]``; "auto" tries
 (1) product, affine, vanishing and exact-one FKT on the grid, (2) the route
@@ -487,8 +487,11 @@ class _Mod4Form:
             return
         assert c % 2 == 0
         if c % 4:
-            self.adj[x] ^= {y}
-            self.adj[y] ^= {x}
+            for (a, b) in ((x, y), (y, x)):
+                if b in self.adj[a]:
+                    self.adj[a].remove(b)
+                else:
+                    self.adj[a].add(b)
 
     def add_parity(self, xs, c):
         """Add c * (x_1 xor ... xor x_m) to the exponent."""
@@ -718,18 +721,17 @@ class _EOState:
 
     Vertex kinds: "eq", a block, carries support weights (w0, w1) and a sign
     bit on each incident end; "eo" carries a weight on each end (the value
-    when that end holds the single 1).  A pin is a block of degree 1 with
-    one zero weight; every other block has both weights nonzero.  Every edge
-    is a disequality between its two ends.
+    when that end holds the single 1).  A block with a zero weight (a pin,
+    at any degree) is fixed to its other side when the rules look at it, so
+    once ``todo`` is empty every block has both weights nonzero.  Every
+    edge is a disequality between its two ends.
 
     Every rule but the pin step is local, so ``todo`` is a heap of the vertex
     ids whose neighbourhood changed since the rules last looked at them:
     ``add_vertex``, ``add_edge`` and ``detach_edge`` push their endpoints,
     and a state built through them starts with every vertex queued.  A
     merge moves edges onto the kept vertex, which is queued; a rule on a
-    pair fits at both of its ends, so the far ends need not be.  A vertex
-    of degree 2 that no rule fits waits in ``links`` for the connector
-    tier, which runs only once ``todo`` is empty.
+    pair fits at both of its ends, so the far ends need not be.
     """
 
     def __init__(self):
@@ -740,7 +742,6 @@ class _EOState:
         self.inc = {}       # vid -> set of (eid, end index)
         self.done = {}      # resolved edges -> value of end 0
         self.todo = []      # heap of touched vertex ids
-        self.links = []     # heap of (is exact-one, vid) of degree 2
         self.zero = False
         self._next = 0
 
@@ -872,43 +873,35 @@ def _simplify_step(state):
     """Apply one local rewrite; True when something fired.
 
     Touched vertices leave ``state.todo`` in id order until a rule fires at
-    one.  The arity-2 connector rules wait until no other rule fits anywhere:
-    with a pin still pending, a same-sign block of arity 2 proves nothing.
+    one.  Every rule is an exact identity, so none waits for another.
     """
     todo = state.todo
     while todo:
         v = heappop(todo)
         while todo and todo[0] == v:
             heappop(todo)
-        if v in state.kind:
-            if _rewrite_at(state, v):
-                return True
-            if len(state.inc[v]) == 2:
-                heappush(state.links, (state.kind[v] == "eo", v))
-    while state.links:
-        _, v = heappop(state.links)
-        if v in state.kind and len(state.inc[v]) == 2:
-            _connect(state, v)
+        if v in state.kind and _rewrite_at(state, v):
             return True
     return False
 
 
 def _rewrite_at(state, v):
-    """Apply the first rule that fits at v: a pin, a vertex of degree 0 or 1,
-    a self-loop, a merge with a neighbour of its kind, then parallel edges
-    between a block and an exact-one.  True when one fired."""
+    """Apply the first rule that fits at v: a block of degree 0 or with a
+    zero weight, an exact-one of degree 0 or 1, a self-loop, a merge with a
+    neighbour of its kind, parallel edges between a block and an exact-one,
+    then a connector of arity 2.  True when one fired."""
     kind, inc = state.kind[v], state.inc[v]
-    if kind == "eq" and len(inc) <= 1:
+    if kind == "eq":
         w0, w1 = state.eqw[v]
         if not inc:
             state.mul(w0 + w1)
             state.drop_vertex(v)
             return True
         if w0.is_zero() or w1.is_zero():
-            # a pin forces its edge to the nonzero side
+            # a pin forces every end of it to the nonzero side
             _resolve(state, _collapse_eq(state, v, int(w0.is_zero())))
             return True
-    if kind == "eo" and len(inc) <= 1:
+    elif len(inc) <= 1:
         if inc:
             [(eid, idx)] = inc
             _resolve(state, [(eid, idx, 1)])
@@ -983,22 +976,22 @@ def _rewrite_at(state, v):
             state.detach_edge(eid)
         _resolve(state, _collapse_eo(state, eo))
         return True
-    return False
+    return len(inc) == 2 and _connect(state, v)
 
 
 def _connect(state, v):
-    """The connector tier at v, of arity 2: with no other rule left, its two
-    neighbours are distinct and of the other kind.  A block joins two
+    """The connector rules at v, of arity 2, whose two neighbours are
+    distinct and of the other kind.  A block with opposite signs joins two
     exact-ones into one; an exact-one becomes an edge between two blocks,
-    which the merge rule folds next."""
+    which the merge rule folds next.  A same-sign block fits no rule and
+    waits: True when one fired."""
     kind = state.kind[v]
     (e1, i1), (e2, i2) = sorted(state.inc[v])
     (a, da), (b, db) = state.ends[e1][1 - i1], state.ends[e2][1 - i2]
     x1, x2 = state.ends[e1][i1][1], state.ends[e2][i2][1]
     assert a != b and state.kind[a] == state.kind[b] != kind
     if kind == "eq" and x1 == x2:
-        raise PinSearchError(
-            "same-sign arity-2 block: equality arities violate gcd >= 5")
+        return False
     w0, w1 = state.eqw[v if kind == "eq" else a]
     state.detach_edge(e1)
     state.detach_edge(e2)
@@ -1014,6 +1007,7 @@ def _connect(state, v):
         state.eqw[a] = [w0 * (x1 if da == 0 else x2),
                         w1 * (x2 if da == 0 else x1)]
         state.add_edge(a, da, b, db)
+    return True
 
 
 def _pin_step(state):

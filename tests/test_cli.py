@@ -12,7 +12,9 @@ from planar_holant.grid import grid_to_json, grid_from_json
 from planar_holant.sigcalc import sig, equality, transform, Z
 
 from test_grid import k4_grid, naive_holant
-from test_solvers import nonplanar_case7_grid
+from test_solvers import (
+    build_instance_biased, nonplanar_case7_grid, z_side_grid,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -68,6 +70,18 @@ def test_eval_nonplanar_case7_is_exit_2(tmp_path, capsys):
         code, doc = run_cli(capsys, ["eval"] + extra + [path])
         assert code == 2
         assert doc["error"] == "EmbeddingError"
+
+
+def test_eval_pin_search_failure_is_exit_1(tmp_path, capsys, monkeypatch):
+    def no_pin(inst):
+        raise solvers.PinSearchError("no pin found")
+
+    monkeypatch.setattr(solvers, "eo_geneq_eval", no_pin)
+    grid = z_side_grid(build_instance_biased(0))
+    path = write_doc(tmp_path, grid_to_json(grid))
+    code, doc = run_cli(capsys, ["eval", "--method", "eo", path])
+    assert code == 1
+    assert doc == {"error": "PinSearchError", "message": "no pin found"}
 
 
 def test_eval_method_mismatch_is_invalid(tmp_path, capsys):

@@ -1472,6 +1472,39 @@ def test_arity2_exact_one_between_blocks_becomes_their_edge(seed):
     assert (ZERO if st.zero else eo_state_value(st)) == expected
 
 
+def merged_pin_state():
+    """Reduced from a case-7 benchmark grid: block B joins a pin of higher
+    id and two exact-ones of arity 2, each leading to a leaf block.  B pops
+    before the pin and merges it, which leaves B a zero weight at degree 2
+    with the same sign on both ends.  Returns (state, B, pin)."""
+    st = solvers._EOState()
+    u, v = st.add_vertex("eo"), st.add_vertex("eo")
+    B = st.add_vertex("eq", (AN(2), AN(2) - I))
+    pin = st.add_vertex("eq", (ZERO, ONE))
+    leaves = [st.add_vertex("eq", (AN(2), AN(2) - I)) for _ in range(2)]
+    st.add_edge(B, 0, u, AN(3))
+    st.add_edge(u, AN(3), leaves[0], 0)
+    st.add_edge(leaves[1], 0, v, AN(3))
+    st.add_edge(v, AN(3), B, 0)
+    st.add_edge(B, 0, pin, 0)
+    return st, B, pin
+
+
+def test_merged_pin_leaves_no_zero_weight_block():
+    st, B, pin = merged_pin_state()
+    expected = eo_state_value(st)
+    assert not expected.is_zero()
+    zero_at_degree2 = False
+    while solvers._simplify_step(st):
+        assert (ZERO if st.zero else eo_state_value(st)) == expected
+        zero_at_degree2 |= (pin not in st.kind and B in st.kind
+                            and len(st.inc[B]) == 2
+                            and any(w.is_zero() for w in st.eqw[B]))
+    assert zero_at_degree2 and not st.todo
+    assert not any(w.is_zero() for ws in st.eqw.values() for w in ws)
+    assert run_state(merged_pin_state()[0]) == expected
+
+
 def test_mod4_cross_terms_are_partners_at_both_ends():
     form = solvers._Mod4Form()
     form.add_cross(1, 2, 2)

@@ -54,3 +54,24 @@ def test_degenerate_form_runs_once_per_signature(workload, tmp_path):
         sys.setprofile(None)
     assert seen
     assert len({id(f) for f in seen}) == len(seen)
+
+
+# (seed, cycle) of cli-grids runs whose case-7 ops once met a same-sign
+# arity-2 block before a pin had been applied
+FAR_CASE7 = [(16, 54), (5, 245), (13, 159), (14, 202)]
+
+
+def test_case7_ops_pass_their_benchmark_check(tmp_path):
+    workloads = workloads_module()
+    gen = workloads.gen
+    slots = [j for j, slot in enumerate(workloads.CLI_CYCLE)
+             if slot[0] == "case7"]
+    assert slots == [6, 23]
+    coords = [(seed, cycle) for seed in range(1, 201) for cycle in (0, 1)]
+    for seed, cycle in coords + FAR_CASE7:
+        for slot in slots:
+            index = cycle * len(workloads.CLI_CYCLE) + slot
+            op = workloads.make_cli(gen.op_rng("cli-grids", seed, index),
+                                    workloads.CLI_CYCLE[slot], str(tmp_path),
+                                    index)
+            assert op.check(op.call()), (seed, cycle, slot, op.inputs)
