@@ -56,8 +56,8 @@ def test_degenerate_form_runs_once_per_signature(workload, tmp_path):
     assert len({id(f) for f in seen}) == len(seen)
 
 
-# (seed, cycle) of cli-grids runs whose case-7 ops once met a same-sign
-# arity-2 block before a pin had been applied
+# (seed, cycle) of cli-grids runs, past cycle 1, whose case-7 op has a
+# block that merges a pin before the pin's own pop
 FAR_CASE7 = [(16, 54), (5, 245), (13, 159), (14, 202)]
 
 
