@@ -1,5 +1,6 @@
 """Race every polynomial-time solver against brute-force contraction, or
-against a closed form at sizes brute force cannot reach.
+against a closed form at sizes brute force cannot reach; and the pruned
+witness search of the set dichotomy against the unpruned one.
 
 Generates random in-precondition instances per solver family, checks exact
 agreement, and reports instance sizes and wall-clock totals.
@@ -28,6 +29,7 @@ from test_solvers import (
     z_side_grid, with_self_loop,
 )
 from test_weighted_graph import mixed_id_graph
+from test_anchor_routes import anchored_pairs, pruned_verdict, unpruned_verdict
 from bundled import bundled_grid
 
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -110,6 +112,11 @@ def main():
     bad += race("eo-case7", lambda ze: evaluate(ze[0], method="eo"),
                 lambda ze: ze[1].holant(cap=10 ** 6),
                 [case7_draw(base + s) for s in range(n)])
+    # two-member sets with an anchor in P1, M2, A3 or M3: the verdict with
+    # only the routes the anchor's bits allow equals the one with every
+    # route searched, and each dropped route finds no witness
+    bad += race("route-bits", pruned_verdict, unpruned_verdict,
+                anchored_pairs(base, n))
     sys.exit(1 if bad else 0)
 
 

@@ -648,7 +648,8 @@ def dichotomy_single(f):
 
 def _apm_verdict(F, allowed, obstruction, culprit):
     """Try the listed set-level transformability routes in order; the
-    obstruction ``obstruction % culprit`` is written only when all fail."""
+    obstruction ``obstruction % culprit`` is written only when all fail.  The
+    list may leave out routes that cannot succeed; the text still names them."""
     for case, finder in allowed:
         T = finder(F)
         if T is not None:
@@ -673,6 +674,10 @@ def dichotomy_plholant_set(F):
 
 
 def _plholant_verdict(F):
+    """The verdict before the matchgate retry.  An anchor in P1, M2 \\ P2, A3
+    or M3 settles it by a witness search; a transform that moves F into A, P
+    or M moves the anchor alone, so only the routes its bits allow (A1 or
+    A3, P1, M1-M3) are searched."""
     # a nonzero constant (arity 0) only scales the Holant
     sigs = [f for f in F if f.arity and not f.is_zero()]
     # degs holds (f, u) for f = c * u^{tensor n}
@@ -695,18 +700,19 @@ def _plholant_verdict(F):
         fam = in_transformable_family(g)
         caveat = caveat or fam.caveat
         if fam.p1 or (fam.m2 and not in_P2(g)):
-            return _apm_verdict(
-                F, [ROUTE_A, ROUTE_P, ROUTE_M],
-                "anchor %r in P1/M2 but the set is not A-, P-, or "
-                "M-transformable", g)
-        if fam.a3:
-            return _apm_verdict(
-                F, [ROUTE_A, ROUTE_M],
-                "anchor %r in A3 but the set is not A- or M-transformable", g)
-        if fam.m3:
-            return _apm_verdict(
-                F, [ROUTE_M],
-                "anchor %r in M3 but the set is not M-transformable", g)
+            where, which = "P1/M2", "A-, P-, or M-"
+        elif fam.a3:
+            where, which = "A3", "A- or M-"
+        elif fam.m3:
+            where, which = "M3", "M-"
+        else:
+            continue
+        routes = [route for route, bit in (
+            (ROUTE_A, fam.a1 or fam.a3), (ROUTE_P, fam.p1),
+            (ROUTE_M, fam.m1 or fam.m2 or fam.m3)) if bit]
+        return _apm_verdict(
+            F, routes, "anchor %%r in %s but the set is not %stransformable"
+            % (where, which), g)
 
     # beyond those anchors everything of high arity must be P2, M4 or vanishing
     for g in nd3:

@@ -29,7 +29,7 @@ class ArityError(ValueError):
 
 
 class SymmetricSignature:
-    __slots__ = ("entries", "_zhat", "_deg", "_dec", "_hash")
+    __slots__ = ("entries", "_zhat", "_deg", "_dec", "_hash", "_supp")
 
     def __init__(self, entries):
         es = tuple(AN(e) for e in entries)
@@ -40,6 +40,7 @@ class SymmetricSignature:
         self._deg = False  # not yet computed; None when not degenerate
         self._dec = None
         self._hash = None
+        self._supp = None
 
     @property
     def arity(self):
@@ -84,8 +85,12 @@ class SymmetricSignature:
         return SymmetricSignature(self.entries[::-1])
 
     def support(self):
-        """The indices k with f_k != 0, in increasing order."""
-        return tuple(k for k, e in enumerate(self.entries) if not e.is_zero())
+        """The indices k with f_k != 0, in increasing order, computed on first
+        use and kept with the signature."""
+        if self._supp is None:
+            self._supp = tuple(k for k, e in enumerate(self.entries)
+                               if not e.is_zero())
+        return self._supp
 
     def zhat(self):
         """The signature read in the Z basis, (Z^-1)^{tensor n} f, computed

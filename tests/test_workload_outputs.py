@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from planar_holant import sigcalc
+from planar_holant import classify, sigcalc
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "perfbench")
@@ -54,6 +54,33 @@ def test_degenerate_form_runs_once_per_signature(workload, tmp_path):
         sys.setprofile(None)
     assert seen
     assert len({id(f) for f in seen}) == len(seen)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_every_witness_search_finds_a_witness(seed, tmp_path):
+    # the anchor's family bits leave out the searches that must fail, so on
+    # the benchmark's sets each search that runs returns a transform
+    codes = {f.__code__: f.__name__ for f in (
+        classify.a_transformable, classify.p_transformable,
+        classify.m_transformable)}
+    returned = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code in codes:
+            returned.append((codes[frame.f_code], arg))
+
+    workloads = workloads_module()
+    ops = [op for cycle in range(3)
+           for op in workloads.make_cycle("classify-sets", seed, cycle,
+                                          str(tmp_path))]
+    sys.setprofile(profile)
+    try:
+        for op in ops:
+            op.call()
+    finally:
+        sys.setprofile(None)
+    assert returned
+    assert [name for name, T in returned if T is None] == []
 
 
 # (seed, cycle) of cli-grids runs, past cycle 1, whose case-7 op has a
