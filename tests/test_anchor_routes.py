@@ -35,6 +35,7 @@ from planar_holant.sigcalc import (
 )
 
 from test_classify import ALPHA, gen_member, rand_nonzero, rand_orth, two_dir
+from test_witness_search import verdict_tuple
 
 
 def is_plain_anchor(f):
@@ -145,10 +146,6 @@ def picked_anchor(F):
                         "%stransformable" % (where, which),
                         [r for r in routes if not allowed[r]])
     return None
-
-
-def verdict_tuple(v):
-    return (v.tractable, v.case, v.obstruction, v.witness, v.caveat, v.route)
 
 
 def pruned_verdict(F):
