@@ -1,6 +1,7 @@
 """Race every polynomial-time solver against brute-force contraction, or
-against a closed form at sizes brute force cannot reach; and the pruned
-witness search of the set dichotomy against the unpruned one.
+against a closed form at sizes brute force cannot reach; the pruned
+witness search of the set dichotomy against the unpruned one; and the
+square root in Q(zeta_8) against its Fraction-pair reference.
 
 Generates random in-precondition instances per solver family, checks exact
 agreement, and reports instance sizes and wall-clock totals.
@@ -17,6 +18,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
+from planar_holant.algebra import sqrt_in_field
 from planar_holant.solvers import (
     fkt_count_pm, product_eval, affine_eval, vanishing_eval,
     EOInstance, WeightedPlanarGraph, eo_geneq_eval, evaluate,
@@ -29,6 +31,7 @@ from test_solvers import (
     z_side_grid, with_self_loop,
 )
 from test_weighted_graph import mixed_id_graph
+from test_algebra import ref_sqrt_in_field, sqrt_draw
 from test_anchor_routes import anchored_pairs, pruned_verdict, unpruned_verdict
 from bundled import bundled_grid
 
@@ -117,6 +120,11 @@ def main():
     # route searched, and each dropped route finds no witness
     bad += race("route-bits", pruned_verdict, unpruned_verdict,
                 anchored_pairs(base, n))
+    # squares and non-squares from Q, Q(i), Q(sqrt2), Q(i sqrt2), Q(zeta_8):
+    # the same root, not just one equal up to sign
+    bad += race("sqrt", sqrt_in_field, ref_sqrt_in_field,
+                [sqrt_draw(random.Random("sqrt-%d" % (base + s)))
+                 for s in range(n)])
     sys.exit(1 if bad else 0)
 
 

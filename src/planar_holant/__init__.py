@@ -16,7 +16,7 @@ from .grid import (
     StructureError, EmbeddingError, OrderError, TooLarge, NotBipartite,
     SingularTransform, Vertex, PlanarGrid, edge_cap, two_stretch,
     holographic_transform_bipartite, orthogonal_transform,
-    grid_from_json, grid_to_json, load_grid,
+    grid_from_json, grid_to_json,
 )
 from .classify import (
     BadS, Witness, FamilyMemberships, SetVerdict,

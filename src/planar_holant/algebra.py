@@ -15,6 +15,12 @@ arithmetic in its own body, with no Fraction and no call to a helper but
 integer products, not 16; and ``_make`` normalises every result, with at
 most one gcd.
 
+Roots are read off the numerators too.  ``sqrt_in_field`` applies one
+quadratic-extension step down the tower Q < Q(i) < Q(zeta_8) and finds a
+square root whenever one exists; ``nth_roots_in_field`` finds the n-th
+roots of the form q sqrt2^e zeta^j.  On Q both take ``_integer_nth_root``
+of the numerator and the denominator.
+
 Scalars are written as text such as "1/2 - 3*w^2 + i" (w = zeta_8).  One
 regular expression, ``_TERM``, defines the grammar: ``parse_scalar`` matches
 it term by term, and ``format_scalar`` writes text it reads back.
@@ -22,7 +28,7 @@ it term by term, and ``format_scalar`` writes text it reads back.
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import sub
 
 
@@ -375,29 +381,6 @@ class AlgebraicNumber:
     def norm_sq(self):
         return self * self.conj()
 
-    def _equals(self, *num):
-        """x == num[0] + num[1]*z + num[2]*z^2 + num[3]*z^3 for ints num."""
-        return self.den == 1 and self.num == num
-
-    def is_fourth_root(self):
-        """x^4 = 1, i.e. x is a power of i."""
-        return (self ** 4)._equals(1, 0, 0, 0)
-
-    def is_odd_alpha_power(self):
-        """x^4 = -1, i.e. x is an odd power of zeta_8."""
-        return (self ** 4)._equals(-1, 0, 0, 0)
-
-    def is_eighth_root(self):
-        return (self ** 8)._equals(1, 0, 0, 0)
-
-    def square_is_pm_one(self):
-        s = self * self
-        return s._equals(1, 0, 0, 0) or s._equals(-1, 0, 0, 0)
-
-    def square_is_pm_i(self):
-        s = self * self
-        return s._equals(0, 0, 1, 0) or s._equals(0, 0, -1, 0)
-
 
 ZERO = AlgebraicNumber(0)
 ONE = AlgebraicNumber(1)
@@ -419,88 +402,6 @@ def AN(x):
     return y
 
 
-# -- square roots -------------------------------------------------------
-#
-# Q(zeta_8) = Q(i)(sqrt 2).  Writing x = A + B*sqrt(2) with A, B in Q(i)
-# reduces the square-root decision to Q(i) and then to Q, where it is
-# isqrt on numerator and denominator.  Returns None when no square root
-# exists inside the field (the field is not closed under sqrt).
-
-def _sqrt_rational(q):
-    if q < 0:
-        return None
-    n, d = q.numerator, q.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
-def _sqrt_gauss(a, b):
-    """Square root of a + b*i in Q(i); returns (c, d) with (c+di)^2 = a+bi."""
-    if b == 0:
-        c = _sqrt_rational(a)
-        if c is not None:
-            return (c, Fraction(0))
-        d = _sqrt_rational(-a)
-        if d is not None:
-            return (Fraction(0), d)
-        return None
-    s = _sqrt_rational(a * a + b * b)
-    if s is None:
-        return None
-    for c2 in ((a + s) / 2, (a - s) / 2):
-        c = _sqrt_rational(c2)
-        if c is not None and c != 0:
-            return (c, b / (2 * c))
-    return None
-
-
-def sqrt_in_field(x):
-    """A y with y*y = x, or None when no such y exists in Q(zeta_8)."""
-    x = AN(x)
-    (n0, n1, n2, n3), d = x.num, x.den
-    # x = A + B*sqrt(2), A = c0 + c2*i, B = (c1-c3)/2 + (c1+c3)/2*i
-    A = (Fraction(n0, d), Fraction(n2, d))
-    B = (Fraction(n1 - n3, 2 * d), Fraction(n1 + n3, 2 * d))
-
-    def gauss_to_an(g, times_sqrt2):
-        c, d = g
-        if not times_sqrt2:
-            return AlgebraicNumber(c, 0, d, 0)
-        # (c + d*i) * sqrt(2) = c*(z - z^3) + d*(z + z^3)
-        return AlgebraicNumber(0, c + d, 0, d - c)
-
-    if B == (0, 0):
-        g = _sqrt_gauss(*A)
-        if g is not None:
-            return gauss_to_an(g, False)
-        g = _sqrt_gauss(A[0] / 2, A[1] / 2)
-        if g is not None:
-            return gauss_to_an(g, True)
-        return None
-    # y = C + D*sqrt(2): C^2 + 2 D^2 = A, 2 C D = B, so C^2 solves
-    # 2 t^2 - 2 A t + B^2 = 0 over Q(i)
-    A2 = (A[0] * A[0] - A[1] * A[1], 2 * A[0] * A[1])
-    B2 = (B[0] * B[0] - B[1] * B[1], 2 * B[0] * B[1])
-    disc = (A2[0] - 2 * B2[0], A2[1] - 2 * B2[1])
-    g = _sqrt_gauss(*disc)
-    if g is None:
-        return None
-    for sgn in (1, -1):
-        c2sq = ((A[0] + sgn * g[0]) / 2, (A[1] + sgn * g[1]) / 2)
-        C = _sqrt_gauss(*c2sq)
-        if C is None or C == (Fraction(0), Fraction(0)):
-            continue
-        Can = AlgebraicNumber(C[0], 0, C[1], 0)
-        Ban = AlgebraicNumber(B[0], 0, B[1], 0)
-        Dan = Ban / (Can * 2)
-        y = Can + Dan * SQRT2
-        if y * y == x:
-            return y
-    return None
-
-
 def rational_quotients(x, m, s):
     """x / (sqrt2^m zeta^(j s)) for j = 0..7, each a Fraction where it is
     rational, else None: one sqrt2 step, then signed rotations."""
@@ -509,6 +410,106 @@ def rational_quotients(x, m, s):
         num, d = _product(*num, *SQRT2.num), 2 * d
     return [None if any(y[1:]) else Fraction(y[0], d)
             for y in (_turn(*num, -j * s) for j in range(8))]
+
+
+# -- roots --------------------------------------------------------------
+#
+# Q < Q(i) < Q(zeta_8) is a tower of two quadratic extensions: Q(i) = Q(r)
+# with r = i, and Q(zeta_8) = Q(i)(r) with r = sqrt2.  With D = r^2 and
+# a, b, c, e in the level below, (c + e r)^2 = (c^2 + D e^2) + 2 c e r, so
+# the square root of a + b r is
+#   for b = 0: sqrt(a), or else sqrt(a / D) r;
+#   for b != 0: c + (b / 2c) r, where c != 0 and
+#   c^2 = (a +- sqrt(a^2 - D b^2)) / 2, tried with + first.
+# Each level reads a and b off the numerators, and the rational level takes
+# the integer roots of the coprime numerator and denominator.  The search is
+# complete: None means that x has no square root in Q(zeta_8).
+
+def _integer_nth_root(m, n):
+    """The integer c >= 0 with c^n = m for an integer m >= 0, or None.
+
+    Newton's iteration on integers, as in math.isqrt: it starts above the
+    root and decreases to floor(m^(1/n)), so no float is involved."""
+    if m < 2:
+        return m
+    c = 1 << -(-m.bit_length() // n)
+    while True:
+        d = ((n - 1) * c + m // c ** (n - 1)) // n
+        if d >= c:
+            break
+        c = d
+    return c if c ** n == m else None
+
+
+def _rational_nth_root(r, n):
+    """An exact rational q with q^n = r, or None."""
+    if r == 0:
+        return Fraction(0)
+    neg = r < 0
+    if neg and n % 2 == 0:
+        return None
+    p, q = _integer_nth_root(abs(r.numerator), n), \
+        _integer_nth_root(r.denominator, n)
+    if p is None or q is None:
+        return None
+    out = Fraction(p, q)
+    return -out if neg else out
+
+
+_HALF = _raw((1, 0, 0, 0), 2)
+
+
+def _sqrt_at(x, level):
+    """A square root of x in Q, Q(i) or Q(zeta_8) (level 0, 1, 2), for x in
+    that level, or None when it has none there."""
+    (n0, n1, n2, n3), d = x.num, x.den
+    if level == 0:
+        if n0 < 0:
+            return None
+        p, q = _integer_nth_root(n0, 2), _integer_nth_root(d, 2)
+        return None if p is None or q is None else _raw((p, 0, 0, 0), q)
+    if level == 1:  # x = n0/d + (n2/d) i
+        r, D, inv_D = I, -ONE, -ONE
+        a, b = _make(n0, 0, 0, 0, d), _make(n2, 0, 0, 0, d)
+    else:  # x = (n0 + n2 i)/d + ((n1 - n3 + (n1 + n3) i)/2d) sqrt2
+        r, D, inv_D = SQRT2, TWO, _HALF
+        a, b = _make(n0, 0, n2, 0, d), _make(n1 - n3, 0, n1 + n3, 0, 2 * d)
+    level -= 1
+    if b.is_zero():
+        c = _sqrt_at(a, level)
+        if c is None:
+            c = _sqrt_at(a * inv_D, level)
+            return None if c is None else c * r
+        return c
+    s = _sqrt_at(a * a - D * b * b, level)
+    if s is None:
+        return None
+    for t in (a + s, a - s):
+        c = _sqrt_at(t * _HALF, level)
+        if c:  # neither None nor 0
+            return c + b / (TWO * c) * r
+    return None
+
+
+def sqrt_in_field(x):
+    """A y with y*y = x, or None when no such y exists in Q(zeta_8)."""
+    return _sqrt_at(AN(x), 2)
+
+
+def nth_roots_in_field(w, n):
+    """The q * sqrt2^e * zeta^j (q rational; e = 0, 1, j = 0..7 in turn)
+    whose n-th power is w, read from the rational w / (sqrt2^(en)
+    zeta^(jn)).  Best effort: roots of other shapes are missed, such as
+    (119 + 120 i)/169 for n = 3, and a set whose witness needs one is PHard."""
+    roots = []
+    for e in (0, 1):
+        for j, r in enumerate(rational_quotients(w, e * n, n)):
+            q = r is not None and _rational_nth_root(r, n)
+            if q:  # False or None: no rational root; 0: w = 0
+                cand = AN(q) * SQRT2 ** e * ZETA ** j
+                if cand not in roots:
+                    roots.append(cand)
+    return roots
 
 
 # -- parsing and formatting ---------------------------------------------

@@ -24,11 +24,11 @@ On top of these sit the framework deciders: ``dichotomy_binary_eq``,
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd, inf
 
-from .algebra import (AN, I, ONE, SQRT2, ZERO, ZETA, rational_quotients,
+from .algebra import (AN, I, ONE, ZERO, ZETA, nth_roots_in_field,
                       sqrt_in_field)
+from .algebra import _rational_nth_root  # noqa: F401 (importable here too)
 from .sigcalc import (
     ArityError,
     SymmetricSignature,
@@ -357,53 +357,6 @@ def in_transformable_family(f):
 
 
 # -- set-level transformability -------------------------------------------------
-
-def _integer_nth_root(m, n):
-    """The integer c >= 0 with c^n = m for an integer m >= 0, or None.
-
-    Newton's iteration on integers, as in math.isqrt: it starts above the
-    root and decreases to floor(m^(1/n)), so no float is involved."""
-    if m < 2:
-        return m
-    c = 1 << -(-m.bit_length() // n)
-    while True:
-        d = ((n - 1) * c + m // c ** (n - 1)) // n
-        if d >= c:
-            break
-        c = d
-    return c if c ** n == m else None
-
-
-def _rational_nth_root(r, n):
-    """An exact rational q with q^n = r, or None."""
-    if r == 0:
-        return Fraction(0)
-    neg = r < 0
-    if neg and n % 2 == 0:
-        return None
-    p, q = _integer_nth_root(abs(r.numerator), n), \
-        _integer_nth_root(r.denominator, n)
-    if p is None or q is None:
-        return None
-    out = Fraction(p, q)
-    return -out if neg else out
-
-
-def nth_roots_in_field(w, n):
-    """The q * sqrt2^e * zeta^j (q rational; e = 0, 1, j = 0..7 in turn)
-    whose n-th power is w, read from the rational w / (sqrt2^(en)
-    zeta^(jn)).  Best effort: roots of other shapes are missed, such as
-    (119 + 120 i)/169 for n = 3, and a set whose witness needs one is PHard."""
-    roots = []
-    for e in (0, 1):
-        for j, r in enumerate(rational_quotients(w, e * n, n)):
-            q = r is not None and _rational_nth_root(r, n)
-            if q:  # False or None: no rational root; 0: w = 0
-                cand = AN(q) * SQRT2 ** e * ZETA ** j
-                if cand not in roots:
-                    roots.append(cand)
-    return roots
-
 
 def _anchor_decompositions(F):
     """Order-2 decompositions of the non-degenerate arity >= 3 signatures."""

@@ -582,7 +582,3 @@ def grid_to_json(grid):
         "scalar": str(grid.scalar),
     }
 
-
-def load_grid(path):
-    with open(path) as fh:
-        return grid_from_json(json.load(fh))
